@@ -17,6 +17,7 @@
 #                       100% survival of admitted work, EC07x checker-clean)
 # 11. flight recorder  (profile two models, validate Perfetto output,
 #                       recorder-overhead gate at <=5%)
+# 12. perfbench        (build the wall-clock benchmark, run its unit tests)
 set -eu
 
 echo "==> cargo fmt --check"
@@ -196,5 +197,11 @@ if [ "$overhead_ok" -ne 1 ]; then
     exit 1
 fi
 echo "    profiles and traces archived in $PROF_DIR/"
+
+echo "==> perfbench: build the wall-clock benchmark and run its unit tests"
+# perfbench is a Cargo workspace of its own (path dependencies on
+# crates/*), so `cargo test --workspace` never compiles it; an API change
+# in the crates would otherwise break the benchmark unnoticed.
+cargo test --release --manifest-path perfbench/Cargo.toml -q
 
 echo "CI OK"

@@ -44,6 +44,39 @@ use edgenn_sim::{platforms, Platform};
 
 use crate::report::ExperimentReport;
 
+/// One experiment: the name the `experiments` binary selects it by, and
+/// the function that runs it.
+pub type Experiment = (&'static str, fn(&Lab) -> Result<ExperimentReport>);
+
+/// Every experiment, in paper order.
+pub const EXPERIMENTS: &[Experiment] = &[
+    ("fig06_edge_cpu_speedups", fig06_edge_cpu_speedups),
+    ("fig07_power_price_edge", fig07_power_price_edge),
+    ("fig08_ablation", fig08_ablation),
+    ("fig09_copy_proportion", fig09_copy_proportion),
+    (
+        "fig10_alexnet_zerocopy_layers",
+        fig10_alexnet_zerocopy_layers,
+    ),
+    ("fig11_alexnet_hybrid_layers", fig11_alexnet_hybrid_layers),
+    (
+        "tab1_hybrid_layer_improvement",
+        tab1_hybrid_layer_improvement,
+    ),
+    ("fig12_cloud", fig12_cloud),
+    ("fig13_power_price_discrete", fig13_power_price_discrete),
+    ("sec5f_interkernel_only", sec5f_interkernel_only),
+    ("sec6_platform_generality", sec6_platform_generality),
+    ("ablation_memory_policy", ablation_memory_policy),
+    ("ablation_hybrid_modes", ablation_hybrid_modes),
+    ("ablation_popt_sweep", ablation_popt_sweep),
+    ("ablation_tuner_convergence", ablation_tuner_convergence),
+    ("sensitivity_sweep", sensitivity_sweep),
+    ("power_mode_sweep", power_mode_sweep),
+    ("ablation_fusion", ablation_fusion),
+    ("pipeline_throughput", pipeline_throughput),
+];
+
 /// Shared experiment context: the four evaluation platforms and the six
 /// benchmark networks at paper scale.
 pub struct Lab {
@@ -94,32 +127,12 @@ impl Lab {
         CpuOnly::new(platform).infer(graph)
     }
 
-    /// Runs every experiment, in paper order.
+    /// Runs every experiment of [`EXPERIMENTS`], in paper order.
     ///
     /// # Errors
     /// Propagates the first experiment failure.
     pub fn run_all(&self) -> Result<Vec<ExperimentReport>> {
-        Ok(vec![
-            fig06_edge_cpu_speedups(self)?,
-            fig07_power_price_edge(self)?,
-            fig08_ablation(self)?,
-            fig09_copy_proportion(self)?,
-            fig10_alexnet_zerocopy_layers(self)?,
-            fig11_alexnet_hybrid_layers(self)?,
-            tab1_hybrid_layer_improvement(self)?,
-            fig12_cloud(self)?,
-            fig13_power_price_discrete(self)?,
-            sec5f_interkernel_only(self)?,
-            sec6_platform_generality(self)?,
-            ablation_memory_policy(self)?,
-            ablation_hybrid_modes(self)?,
-            ablation_popt_sweep(self)?,
-            ablation_tuner_convergence(self)?,
-            sensitivity_sweep(self)?,
-            power_mode_sweep(self)?,
-            ablation_fusion(self)?,
-            pipeline_throughput(self)?,
-        ])
+        EXPERIMENTS.iter().map(|(_, run)| run(self)).collect()
     }
 }
 

@@ -2,14 +2,16 @@
 //!
 //! The benchmark harness that regenerates **every table and figure** of
 //! the EdgeNN paper's evaluation (Section V). Each experiment lives in
-//! [`experiments`] and has a matching binary (`fig06_edge_cpus`,
-//! `fig08_ablation`, …, `tab1_hybrid_layer_improvement`) that prints the
-//! paper's reported values next to the reproduction's measured values.
+//! [`experiments`] under a name (`fig06_edge_cpu_speedups`,
+//! `fig08_ablation`, …, `tab1_hybrid_layer_improvement`), and its report
+//! prints the paper's reported values next to the reproduction's
+//! measured values.
 //!
-//! Run everything at once:
+//! Run everything at once, or name the experiments to run:
 //!
 //! ```bash
-//! cargo run --release -p edgenn-bench --bin all_experiments
+//! cargo run --release -p edgenn-bench --bin experiments
+//! cargo run --release -p edgenn-bench --bin experiments -- fig08_ablation --json
 //! ```
 //!
 //! Shape, not absolute numbers: the substrate is a calibrated simulator

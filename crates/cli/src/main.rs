@@ -1,128 +1,65 @@
-//! `edgenn` — command-line front end for the EdgeNN reproduction.
-//!
-//! ```text
-//! edgenn simulate --model alexnet --platform jetson [--config edgenn]
-//!                 [--scale paper|tiny] [--json] [--layers]
-//!                 [--faults SPEC|SEED] [--max-retries N] [--deadline-us F]
-//!                 [--trace-out FILE] [--metrics-out FILE]
-//! edgenn explain  --model alexnet --platform jetson [--config edgenn]
-//! edgenn plan     --model alexnet --platform jetson [--config edgenn]
-//! edgenn compare  --model alexnet --platform jetson
-//!                 [--trace-out FILE] [--metrics-out FILE]
-//! edgenn storm    [--model all] [--platform jetson] [--seed 42] [--runs 100]
-//! edgenn serve    [--seed 42] [--duration-ms 1000] [--check] [--json]
-//! edgenn siege    [--seed 42] [--duration-us 60000] [--no-faults] [--json]
-//! edgenn models
-//! edgenn platforms
-//! ```
+//! `edgenn` — command-line front end for the EdgeNN reproduction. The
+//! flags and subcommands are declared in [`args`]; `edgenn` with no
+//! arguments prints the usage generated from them.
 
 mod args;
 
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use args::{parse_model, parse_platform, Options};
+use args::{parse_model, parse_platform, Args};
 use edgenn_core::prelude::*;
 use edgenn_core::runtime::Runtime;
-use edgenn_nn::graph::{compile, CompileOptions, CompileReport};
+use edgenn_nn::graph::{compile, CompileOptions, CompileReport, Graph};
 use edgenn_nn::models::{build, ModelScale};
 use edgenn_obs::{EventSink, Labels, ProfileSummary, Recorder, SinkEvent};
 use edgenn_sim::trace::to_chrome_trace_with_counters;
 use edgenn_sim::Platform;
+use serde_json::Value;
 
-const USAGE: &str = "\
-edgenn — EdgeNN (ICDE 2023) reproduction CLI
-
-USAGE:
-    edgenn simulate  --model M --platform P [--config C] [--scale paper|tiny]
-                     [--json] [--layers] [--trace-out FILE] [--metrics-out FILE]
-                     [--faults SPEC|SEED] [--max-retries N] [--deadline-us F]
-    edgenn explain   --model M --platform P [--config C] [--json]
-    edgenn plan      --model M --platform P [--config C] [--explain]
-    edgenn compare   --model M --platform P [--trace-out FILE] [--metrics-out FILE]
-    edgenn check     --model M --platform P [--config C] [--scale paper|tiny]
-                     [--json] [--lenient]
-    edgenn compile   --model M [--platform P] [--config C] [--scale paper|tiny]
-                     [--json] [--dump] [--out FILE] [--prepack|--no-prepack]
-    edgenn analyze   --model M --platform P [--config C] [--scale paper|tiny]
-                     [--json] [--functional]
-    edgenn profile   <model> --platform P [--config C] [--scale paper|tiny]
-                     [--runs N] [--json] [--perfetto FILE]
-    edgenn storm     [--model M|all] [--platform P] [--config C] [--seed N]
-                     [--runs N] [--max-retries N] [--deadline-us F]
-                     [--replay-seed N] [--inject-failure I]
-                     [--json] [--out FILE]
-    edgenn serve     [--seed N] [--duration-ms N] [--platform P]
-                     [--queue-capacity N] [--max-batch N] [--max-delay-us F]
-                     [--check] [--json] [--out FILE]
-    edgenn siege     [--seed N] [--duration-us F] [--platform P]
-                     [--queue-capacity N] [--max-batch N] [--max-delay-us F]
-                     [--no-faults] [--max-retries N] [--json] [--out FILE]
-    edgenn inspect   --model M [--scale paper|tiny]
-    edgenn models
-    edgenn platforms
-
-MODELS:     fcnn lenet alexnet vgg squeezenet resnet
-PLATFORMS:  jetson (jetson-xavier) rpi phone server apu apple
-CONFIGS:    edgenn baseline cpu-only memory-only hybrid-only inter-only energy
-
+/// The prose half of the usage text; the synopsis and the flag help
+/// lines are generated from the tables in [`args`].
+const NOTES: &str = "\
 COMPILATION:
-    Every command taking [--model M] first runs the graph compiler
-    (identity elimination, activation fusion, constant folding,
-    slice/concat cancellation, DCE, fixpoint) so the tuner plans over the
-    optimized DAG; pass --no-compile to work on the raw builder graph.
-    Weight prepacking into GEMM panel layouts happens at tiny scale
-    (where the functional engine actually runs); paper-scale weights stay
-    lazy/analytic unless --prepack forces packing.
+    Every command taking --model first runs the graph compiler (identity
+    elimination, activation fusion, constant folding, slice/concat
+    cancellation, DCE, to a fixpoint) so the tuner plans over the optimized
+    DAG; --no-compile keeps the raw builder graph. Weights are prepacked into
+    GEMM panel layouts at tiny scale, where the functional engine runs;
+    paper-scale weights stay lazy/analytic unless --prepack forces packing.
 
 COMPILE:
-    Runs the compiler alone, prints per-pass node/edge deltas, and
-    re-verifies the rewrite: EC06x rewrite-legality codes (interface
-    preserved, fused-node partial-range contract, no orphans, report
-    consistency) plus the full tier-A graph check; with --platform, the
-    tier-B profile/plan checks run on the compiled graph too.
-    --dump      also print the compiled graph's layer table
-    --json      machine-readable report (passes, deltas, diagnostics)
-    --out FILE  write the JSON report to FILE (used by ci.sh archiving)
+    Runs the compiler alone, prints per-pass node/edge deltas and re-verifies
+    the rewrite: EC06x legality (interface preserved, fused-node partial-range
+    contract, no orphans, report consistency) plus the tier-A graph check,
+    and with --platform the tier-B profile/plan checks on the compiled graph.
     Exit status is non-zero when any error-severity diagnostic fires.
 
 PRECISION:
-    Every command taking [--config C] also takes [--precision f32|int8]
-    (default f32). int8 runs the quantized conv/dense kernels (per-channel
+    --precision int8 runs the quantized conv/dense kernels (per-channel
     symmetric weights, per-tensor affine activations, requantize epilogue)
     inside the functional engine and sizes footprint and tier-D certified
     bounds with the int8 sidecar; activations between nodes stay f32.
 
-OBSERVABILITY:
-    --trace-out FILE    Perfetto/chrome://tracing trace with counter tracks
-                        (bandwidth, outstanding managed pages, EMA evolution)
-    --metrics-out FILE  JSON metrics snapshot (counters, gauges, p50/p95/p99
-                        latency histograms from a serving run)
-
 CHECK:
     Runs the edgenn-check static verifier: graph dataflow (tier A), plan
     legality on the target platform (tier B), then a simulated trace through
-    the happens-before race detector plus report accounting (tier C).
-    Diagnostics carry stable EC0xx codes (see docs/diagnostics.md).
-    --json      machine-readable report instead of the table
-    --lenient   downgrade the accounting codes EC030/EC031 to warnings
-                (plotting pipelines that accept a clamped copy proportion)
-    Exit status is non-zero when any error-severity diagnostic fires.
+    the happens-before race detector plus report accounting (tier C), with
+    stable EC0xx codes (see docs/diagnostics.md). --lenient serves plotting
+    pipelines that accept a clamped copy proportion. Exit status is non-zero
+    when any error-severity diagnostic fires.
 
 ANALYZE:
     Runs the edgenn-check tier-D ownership/liveness analyzer: the plan is
     lowered into the exact slot/arena operation schedule the functional
-    engine would execute, abstract-interpreted against the zero-copy
-    contract (EC050-EC059, see docs/diagnostics.md), and a certified
-    peak-memory bound is derived and checked against the platform's DRAM.
-    The worker-pool schedule explorer then exhaustively enumerates every
-    queue/steal/reclaim interleaving of a scenario matrix (CHESS-style
-    bounded preemptions), asserting the pool contract on each.
-    --json        machine-readable report (liveness table, bound, explorer)
-    --functional  also execute the model through the real functional
-                  engine and gate measured slot/arena bytes against the
-                  certified bound (measured must never exceed certified)
-    Exit status is non-zero on any EC05x error, explorer violation, or
+    engine would execute, abstract-interpreted against the zero-copy contract
+    (EC050-EC059, see docs/diagnostics.md), and a certified peak-memory bound
+    is derived and checked against the platform's DRAM. The worker-pool
+    schedule explorer then enumerates every queue/steal/reclaim interleaving
+    of a scenario matrix (CHESS-style bounded preemptions), asserting the
+    pool contract on each. --functional also runs the real engine, whose
+    measured slot/arena bytes must never exceed the certified bound. Exit
+    status is non-zero on any EC05x error, explorer violation, or
     measured-exceeds-certified conformance failure.
 
 FAULTS:
@@ -134,81 +71,53 @@ FAULTS:
         stall:<start>-<end>@<factor>  page-migration stalls, factor > 1
         oom:<fraction>                co-tenant DRAM pressure in [0,1)
     Example: --faults 'kernel:3xinf;bw:0-500@0.5;oom:0.8'
-    --max-retries N    per-node retry budget before CPU fallback (default 3)
-    --deadline-us F    latency budget; overruns degrade the hybrid plan to a
-                       single processor mid-run
+    --deadline-us overruns degrade the hybrid plan to a single processor.
 
 PROFILE:
     Runs the model through the real functional engine with the always-on
-    flight recorder enabled, keeps the fastest of --runs (default 3)
-    measured requests, and verifies the recorded spans through the tier-C
+    flight recorder enabled, keeps the fastest of --runs measured requests
+    (after one warm-up), and verifies the recorded spans through the tier-C
     checker (occupancy, causal ordering) before reporting. Prints per-stage
     p50/p99 (node, pack, compute, merge, queue wait) and a per-node
-    predicted-vs-measured table against the analytic simulation. Defaults
-    to --scale tiny: the functional engine runs on the host CPU, so
-    measured times characterize engine behaviour, not target latency.
-    --runs N          measured requests after one warm-up (default 3)
-    --json            machine-readable profile instead of the tables
-    --perfetto FILE   one Chrome trace with the simulated timeline (pid 1)
-                      next to the measured flight recording (pid 3)
+    predicted-vs-measured table. Defaults to --scale tiny: the engine runs
+    on the host CPU, so measured times characterize engine behaviour, not
+    target latency.
 
 STORM:
-    Monte-Carlo resilience sweep: per run, a seeded random fault plan is
-    injected into the analytic simulation (recovery log gated by the EC04x
+    Monte-Carlo resilience sweep: each round injects a seeded random fault
+    plan into the analytic simulation (recovery log gated by the EC04x
     checker) and into a functional execution whose output must stay bitwise
     identical to the fault-free reference. Reports survival rate and p99
     degraded latency per model; exit status is non-zero below 100% survival.
-    Every failing or deadline-degraded round's seed is archived in the JSON
-    summary (failed_seeds / degraded_seeds) so any round is reproducible.
-    --out FILE         also writes the JSON summary to FILE
-    --replay-seed N    re-run exactly one round with seed N, verbosely
-                       (paste a seed from failed_seeds to debug it)
-    --inject-failure I force round index I to fail (tests the seed
-                       archiving path end to end)
+    The JSON summary archives every failing or deadline-degraded round's
+    seed (failed_seeds / degraded_seeds) so --replay-seed can re-run it;
+    --inject-failure tests that path end to end.
 
 SERVE / SIEGE:
-    The multi-tenant serving front-end (edgenn-serve): per-tenant
-    token-bucket admission with in-flight caps, a bounded ingress queue,
-    weighted-fair dynamic batching into Executor::batch_execute, and an
-    SLO guard that degrades hybrid -> single-processor -> int8 before it
-    sheds. Every decision is a typed event in the admission log
-    (docs/serving.md).
-    serve  runs the real-time loop against the wall clock for
-           --duration-ms; --check replays the log through the EC07x
-           admission-log checker afterwards.
+    The multi-tenant serving front end (edgenn-serve): per-tenant token-bucket
+    admission with in-flight caps, a bounded ingress queue, weighted-fair
+    dynamic batching into Executor::batch_execute, and an SLO guard that
+    degrades hybrid -> single-processor -> int8 before it sheds. Every
+    decision is a typed event in the admission log (docs/serving.md).
+    serve  runs the real-time loop for --duration-ms of wall clock; --check
+           replays the log through the EC07x admission-log checker.
     siege  is the deterministic gate: a seeded closed+open-loop load
-           generator in virtual time with the PR 4 fault injector armed
-           (disable with --no-faults). Formed batches execute for real
-           and must reproduce the fault-free reference bitwise; the
-           admission log always replays through the EC07x checker. Exit
-           status is non-zero if any admitted request is lost, any output
-           diverges, the queue bound breaks, or the checker objects.
+           generator in virtual time with the fault injector armed (off with
+           --no-faults). Formed batches execute for real and must reproduce
+           the fault-free reference bitwise; the admission log always
+           replays through EC07x. Exit status is non-zero if any admitted
+           request is lost, any output diverges, the queue bound breaks, or
+           the checker objects.
     Both write the shared JSON report (tenant tails, survival, shed rate,
     fairness spread, checker verdict) with --json / --out FILE.";
 
+/// What a command returns: any error, printed as one message.
+type Result<T, E = Box<dyn std::error::Error>> = std::result::Result<T, E>;
+
 fn main() -> ExitCode {
-    let options = Options::parse(std::env::args().skip(1));
-    let result = match options.positional(0) {
-        Some("simulate") => cmd_simulate(&options),
-        Some("explain") => cmd_explain(&options),
-        Some("plan") => cmd_plan(&options),
-        Some("compare") => cmd_compare(&options),
-        Some("check") => cmd_check(&options),
-        Some("compile") => cmd_compile(&options),
-        Some("analyze") => cmd_analyze(&options),
-        Some("profile") => cmd_profile(&options),
-        Some("storm") => cmd_storm(&options),
-        Some("serve") => cmd_serve(&options),
-        Some("siege") => cmd_siege(&options),
-        Some("inspect") => cmd_inspect(&options),
-        Some("models") => cmd_models(),
-        Some("platforms") => {
-            cmd_platforms();
-            Ok(())
-        }
-        Some(other) => Err(format!("unknown command '{other}'\n\n{USAGE}")),
-        None => Err(USAGE.to_string()),
-    };
+    let result = Args::parse(std::env::args().skip(1), NOTES)
+        .map_err(Into::into)
+        .and_then(|args| args.run());
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
@@ -218,8 +127,34 @@ fn main() -> ExitCode {
     }
 }
 
+/// A JSON object holding `fields` in order.
+fn object(fields: impl IntoIterator<Item = (&'static str, Value)>) -> Value {
+    Value::Object(
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
+}
+
+/// Writes a JSON `report` to `--out` (saying so on stderr unless
+/// `--json`) and prints it on `--json`.
+fn emit_report(args: &Args, what: &str, report: &Value) -> Result<()> {
+    let text = serde_json::to_string_pretty(report)?;
+    if let Some(path) = args.value("out") {
+        std::fs::write(path, &text).map_err(|e| format!("writing {path}: {e}"))?;
+        if !args.has("json") {
+            eprintln!("{what} written to {path}");
+        }
+    }
+    if args.has("json") {
+        println!("{text}");
+    }
+    Ok(())
+}
+
 /// Output sinks requested on the command line (`--trace-out` /
-/// `--metrics-out`; `--trace` is kept as an alias of `--trace-out`).
+/// `--metrics-out`).
 struct ObsOutputs<'o> {
     trace_out: Option<&'o str>,
     metrics_out: Option<&'o str>,
@@ -227,26 +162,16 @@ struct ObsOutputs<'o> {
 }
 
 impl<'o> ObsOutputs<'o> {
-    fn from_options(
-        options: &'o Options,
-        graph_name: &str,
-        platform: &Platform,
-    ) -> Result<Self, String> {
-        for key in ["trace-out", "trace", "metrics-out"] {
-            if options.has(key) && options.value(key).is_none() {
-                return Err(format!("--{key} requires a file path"));
-            }
-        }
-        let trace_out = options
-            .value("trace-out")
-            .or_else(|| options.value("trace"));
-        let metrics_out = options.value("metrics-out");
+    fn from_args(args: &'o Args, graph_name: &str, platform: &Platform) -> Result<Self> {
+        let trace_out = args.value("trace-out");
+        let metrics_out = args.value("metrics-out");
+        let policy = args.require("config")?;
         let recorder = (trace_out.is_some() || metrics_out.is_some()).then(|| {
             Recorder::with_labels(
                 Labels::new()
                     .with("model", graph_name)
                     .with("platform", &platform.name)
-                    .with("policy", options.value("config").unwrap_or("edgenn")),
+                    .with("policy", policy),
             )
         });
         Ok(Self {
@@ -256,10 +181,6 @@ impl<'o> ObsOutputs<'o> {
         })
     }
 
-    fn wanted(&self) -> bool {
-        self.recorder.is_some()
-    }
-
     fn runtime<'a>(&self, platform: &'a Platform) -> Runtime<'a> {
         match &self.recorder {
             Some(rec) => Runtime::with_observer(platform, Arc::new(rec.clone())),
@@ -267,7 +188,7 @@ impl<'o> ObsOutputs<'o> {
         }
     }
 
-    fn write_trace(&self, events: &[edgenn_sim::TraceEvent]) -> Result<(), String> {
+    fn write_trace(&self, events: &[edgenn_sim::TraceEvent]) -> Result<()> {
         let Some(path) = self.trace_out else {
             return Ok(());
         };
@@ -282,7 +203,7 @@ impl<'o> ObsOutputs<'o> {
         Ok(())
     }
 
-    fn write_metrics(&self) -> Result<(), String> {
+    fn write_metrics(&self) -> Result<()> {
         let Some(path) = self.metrics_out else {
             return Ok(());
         };
@@ -290,8 +211,7 @@ impl<'o> ObsOutputs<'o> {
             .recorder
             .as_ref()
             .expect("metrics-out implies a recorder");
-        let json =
-            serde_json::to_string_pretty(&rec.metrics().to_json()).map_err(|e| e.to_string())?;
+        let json = serde_json::to_string_pretty(&rec.metrics().to_json())?;
         std::fs::write(path, json).map_err(|e| format!("writing {path}: {e}"))?;
         for warning in rec.warnings() {
             eprintln!("warning: {warning}");
@@ -301,20 +221,11 @@ impl<'o> ObsOutputs<'o> {
     }
 }
 
-/// A model ready to run: built at the requested scale and, unless
-/// `--no-compile` was passed, optimized by the graph compiler (the
-/// tuner then plans over the rewritten DAG). `report` is `None` only
-/// for raw graphs.
-struct LoadedModel {
-    graph: edgenn_nn::graph::Graph,
-    report: Option<CompileReport>,
-}
-
-fn parse_scale(options: &Options, default: &str) -> Result<ModelScale, String> {
-    match options.value("scale").unwrap_or(default) {
+fn parse_scale(args: &Args) -> Result<ModelScale> {
+    match args.require("scale")? {
         "paper" => Ok(ModelScale::Paper),
         "tiny" => Ok(ModelScale::Tiny),
-        other => Err(format!("unknown scale '{other}' (expected paper|tiny)")),
+        other => Err(format!("unknown scale '{other}' (expected paper|tiny)").into()),
     }
 }
 
@@ -324,19 +235,16 @@ fn parse_scale(options: &Options, default: &str) -> Result<ModelScale, String> {
 /// engine actually executes — and off at paper scale; `--prepack` /
 /// `--no-prepack` override. `--precision int8` also packs the quantized
 /// sidecar.
-fn compile_options(options: &Options, scale: ModelScale) -> Result<CompileOptions, String> {
-    let int8 = match options.value("precision") {
-        Some(name) => args::parse_precision(name)? == edgenn_core::plan::Precision::Int8,
-        None => false,
-    };
+fn compile_options(args: &Args, scale: ModelScale) -> Result<CompileOptions> {
+    let int8 = args::parse_precision(args.require("precision")?)? == Precision::Int8;
     let mut copts = if int8 {
         CompileOptions::int8()
     } else {
         CompileOptions::default()
     };
-    let prepack = if options.has("prepack") {
+    let prepack = if args.has("prepack") {
         true
-    } else if options.has("no-prepack") {
+    } else if args.has("no-prepack") {
         false
     } else {
         scale == ModelScale::Tiny
@@ -348,20 +256,18 @@ fn compile_options(options: &Options, scale: ModelScale) -> Result<CompileOption
     Ok(copts)
 }
 
-/// Compiles `raw` (honoring `--no-compile`) and refuses to hand out a
-/// graph whose rewrite fails the EC06x legality checks.
-fn compile_loaded(
-    options: &Options,
-    scale: ModelScale,
-    raw: edgenn_nn::graph::Graph,
-) -> Result<LoadedModel, String> {
-    if options.has("no-compile") {
-        return Ok(LoadedModel {
-            graph: raw,
-            report: None,
-        });
+/// A model ready to run and its compile report (`None` only for a raw
+/// graph).
+type Loaded = (Graph, Option<CompileReport>);
+
+/// Unless `--no-compile` was passed, optimizes `raw` with the graph
+/// compiler so the tuner plans over the rewritten DAG; a graph whose
+/// rewrite fails the EC06x legality checks is refused.
+fn compile_loaded(args: &Args, scale: ModelScale, raw: Graph) -> Result<Loaded> {
+    if args.has("no-compile") {
+        return Ok((raw, None));
     }
-    let copts = compile_options(options, scale)?;
+    let copts = compile_options(args, scale)?;
     let (graph, report) = compile(&raw, &copts).map_err(|e| format!("compile: {e}"))?;
     let diags = edgenn_check::check_compiled(&raw, &graph, &report);
     if !diags.is_empty() {
@@ -373,18 +279,16 @@ fn compile_loaded(
         for d in &diags {
             msg.push_str(&format!("  {d}\n"));
         }
-        return Err(msg);
+        return Err(msg.into());
     }
-    Ok(LoadedModel {
-        graph,
-        report: Some(report),
-    })
+    Ok((graph, Some(report)))
 }
 
-fn required_graph(options: &Options) -> Result<LoadedModel, String> {
-    let model = parse_model(options.value("model").ok_or("--model is required")?)?;
-    let scale = parse_scale(options, "paper")?;
-    compile_loaded(options, scale, build(model, scale))
+/// Builds `--model` at `--scale` and compiles it (see [`compile_loaded`]).
+fn load_model(args: &Args) -> Result<Loaded> {
+    let model = parse_model(args.require("model")?)?;
+    let scale = parse_scale(args)?;
+    compile_loaded(args, scale, build(model, scale))
 }
 
 /// Mirrors a compile report into the recorder as `CompilerPass` events
@@ -421,63 +325,40 @@ fn emit_compiler_events(rec: &Recorder, report: &CompileReport) {
     }
 }
 
-fn cmd_simulate(options: &Options) -> Result<(), String> {
-    let LoadedModel {
-        graph,
-        report: compile_report,
-    } = required_graph(options)?;
-    let platform = parse_platform(options.value("platform").ok_or("--platform is required")?)?;
-    let config = args::resolve_config(options)?;
+fn cmd_simulate(args: &Args) -> Result<()> {
+    let (graph, compile_report) = load_model(args)?;
+    let platform = parse_platform(args.require("platform")?)?;
+    let config = args::resolve_config(args)?;
 
-    let obs = ObsOutputs::from_options(options, graph.name(), &platform)?;
+    let obs = ObsOutputs::from_args(args, graph.name(), &platform)?;
     if let (Some(rec), Some(report)) = (&obs.recorder, &compile_report) {
         emit_compiler_events(rec, report);
     }
     let runtime = obs.runtime(&platform);
-    let mut tuner = Tuner::new(&graph, &runtime).map_err(|e| e.to_string())?;
-    let plan = if obs.wanted() {
+    let mut tuner = Tuner::new(&graph, &runtime)?;
+    let plan = if obs.recorder.is_some() {
         // Run the adaptive loop so the EMA counter tracks and the plan
         // regeneration markers appear in the exported trace.
-        let (plan, _) = tuner
-            .adapt(&graph, &runtime, config, 3, 0.05)
-            .map_err(|e| e.to_string())?;
+        let (plan, _) = tuner.adapt(&graph, &runtime, config, 3, 0.05)?;
         plan
     } else {
-        tuner
-            .plan(&graph, &runtime, config)
-            .map_err(|e| e.to_string())?
+        tuner.plan(&graph, &runtime, config)?
     };
-    let decisions = tuner
-        .explain(&graph, &runtime, &plan)
-        .map_err(|e| e.to_string())?;
+    let decisions = tuner.explain(&graph, &runtime, &plan)?;
 
-    if options.has("faults") {
-        let spec = options
-            .value("faults")
-            .ok_or("--faults requires a seed or a fault spec")?;
+    if let Some(spec) = args.value("faults") {
         let faults = parse_faults(spec, graph.len())?;
-        let rcfg = resilience_config(options)?;
-        let outcome = runtime
-            .simulate_with_faults(&graph, &plan, &faults, &rcfg)
-            .map_err(|e| e.to_string())?;
+        let rcfg = resilience_config(args)?;
+        let outcome = runtime.simulate_with_faults(&graph, &plan, &faults, &rcfg)?;
         let report = outcome.report.with_decisions(decisions);
         obs.write_trace(&report.events)?;
         obs.write_metrics()?;
-        if options.has("json") {
-            let mut m = serde_json::Map::new();
-            m.insert(
-                "report",
-                serde_json::to_value(&report).map_err(|e| e.to_string())?,
-            );
-            m.insert(
-                "recovery",
-                serde_json::to_value(&outcome.recovery).map_err(|e| e.to_string())?,
-            );
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&serde_json::Value::Object(m))
-                    .map_err(|e| e.to_string())?
-            );
+        if args.has("json") {
+            let json = object([
+                ("report", serde_json::to_value(&report)?),
+                ("recovery", serde_json::to_value(&outcome.recovery)?),
+            ]);
+            println!("{}", serde_json::to_string_pretty(&json)?);
             return Ok(());
         }
         println!(
@@ -508,26 +389,18 @@ fn cmd_simulate(options: &Options) -> Result<(), String> {
         return Ok(());
     }
 
-    let report = runtime
-        .simulate(&graph, &plan)
-        .map_err(|e| e.to_string())?
-        .with_decisions(decisions);
+    let report = runtime.simulate(&graph, &plan)?.with_decisions(decisions);
 
     obs.write_trace(&report.events)?;
     if obs.metrics_out.is_some() {
         // A short serving run feeds the request-latency histogram so the
         // snapshot carries meaningful p50/p95/p99.
-        runtime
-            .simulate_stream(&graph, &plan, 32)
-            .map_err(|e| e.to_string())?;
+        runtime.simulate_stream(&graph, &plan, 32)?;
     }
     obs.write_metrics()?;
 
-    if options.has("json") {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?
-        );
+    if args.has("json") {
+        println!("{}", serde_json::to_string_pretty(&report)?);
         return Ok(());
     }
 
@@ -557,14 +430,14 @@ fn cmd_simulate(options: &Options) -> Result<(), String> {
         plan.corun_count(),
         plan.managed_count()
     );
-    let footprint = edgenn_core::footprint::footprint(&graph, &plan).map_err(|e| e.to_string())?;
+    let footprint = edgenn_core::footprint::footprint(&graph, &plan)?;
     println!(
         "  memory       : {:.1} MiB peak ({:.1} MiB weights + {:.1} MiB activations)",
         footprint.peak_mib(),
         footprint.weight_bytes as f64 / (1 << 20) as f64,
         footprint.peak_activation_bytes as f64 / (1 << 20) as f64
     );
-    if options.has("layers") {
+    if args.has("layers") {
         println!(
             "\n  {:<22} {:>12} {:>10} {:>10}  assignment",
             "layer", "start us", "kernel", "memory"
@@ -594,29 +467,19 @@ fn assignment_cell(assignment: &edgenn_core::plan::Assignment) -> String {
     }
 }
 
-fn cmd_explain(options: &Options) -> Result<(), String> {
-    let LoadedModel {
-        graph,
-        report: compile_report,
-    } = required_graph(options)?;
-    let platform = parse_platform(options.value("platform").ok_or("--platform is required")?)?;
-    let config = args::resolve_config(options)?;
+fn cmd_explain(args: &Args) -> Result<()> {
+    let (graph, compile_report) = load_model(args)?;
+    let platform = parse_platform(args.require("platform")?)?;
+    let config = args::resolve_config(args)?;
 
     let runtime = Runtime::new(&platform);
-    let tuner = Tuner::new(&graph, &runtime).map_err(|e| e.to_string())?;
-    let plan = tuner
-        .plan(&graph, &runtime, config)
-        .map_err(|e| e.to_string())?;
-    let report = runtime.simulate(&graph, &plan).map_err(|e| e.to_string())?;
-    let rows = tuner
-        .explain(&graph, &runtime, &plan)
-        .map_err(|e| e.to_string())?;
+    let tuner = Tuner::new(&graph, &runtime)?;
+    let plan = tuner.plan(&graph, &runtime, config)?;
+    let report = runtime.simulate(&graph, &plan)?;
+    let rows = tuner.explain(&graph, &runtime, &plan)?;
 
-    if options.has("json") {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&rows).map_err(|e| e.to_string())?
-        );
+    if args.has("json") {
+        println!("{}", serde_json::to_string_pretty(&rows)?);
         return Ok(());
     }
 
@@ -673,19 +536,15 @@ fn cmd_explain(options: &Options) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_plan(options: &Options) -> Result<(), String> {
-    let LoadedModel { graph, .. } = required_graph(options)?;
-    let platform = parse_platform(options.value("platform").ok_or("--platform is required")?)?;
-    let config = args::resolve_config(options)?;
+fn cmd_plan(args: &Args) -> Result<()> {
+    let (graph, _) = load_model(args)?;
+    let platform = parse_platform(args.require("platform")?)?;
+    let config = args::resolve_config(args)?;
     let runtime = Runtime::new(&platform);
-    let tuner = Tuner::new(&graph, &runtime).map_err(|e| e.to_string())?;
-    let plan = tuner
-        .plan(&graph, &runtime, config)
-        .map_err(|e| e.to_string())?;
-    if options.has("explain") {
-        let rows = tuner
-            .explain(&graph, &runtime, &plan)
-            .map_err(|e| e.to_string())?;
+    let tuner = Tuner::new(&graph, &runtime)?;
+    let plan = tuner.plan(&graph, &runtime, config)?;
+    if args.has("explain") {
+        let rows = tuner.explain(&graph, &runtime, &plan)?;
         println!(
             "{:<24} {:<8} {:>12} {:>12}  decision",
             "layer", "class", "t_cpu us", "t_gpu us"
@@ -703,19 +562,16 @@ fn cmd_plan(options: &Options) -> Result<(), String> {
         }
         return Ok(());
     }
-    println!(
-        "{}",
-        serde_json::to_string_pretty(&plan).map_err(|e| e.to_string())?
-    );
+    println!("{}", serde_json::to_string_pretty(&plan)?);
     Ok(())
 }
 
-fn cmd_compare(options: &Options) -> Result<(), String> {
-    let LoadedModel { graph, .. } = required_graph(options)?;
-    let platform = parse_platform(options.value("platform").ok_or("--platform is required")?)?;
-    let obs = ObsOutputs::from_options(options, graph.name(), &platform)?;
+fn cmd_compare(args: &Args) -> Result<()> {
+    let (graph, _) = load_model(args)?;
+    let platform = parse_platform(args.require("platform")?)?;
+    let obs = ObsOutputs::from_args(args, graph.name(), &platform)?;
     let runtime = obs.runtime(&platform);
-    let tuner = Tuner::new(&graph, &runtime).map_err(|e| e.to_string())?;
+    let tuner = Tuner::new(&graph, &runtime)?;
 
     let configs: &[(&str, ExecutionConfig)] = &[
         ("baseline (gpu, explicit)", ExecutionConfig::baseline_gpu()),
@@ -741,10 +597,8 @@ fn cmd_compare(options: &Options) -> Result<(), String> {
         if !platform.has_gpu() && *name != "cpu-only" {
             continue;
         }
-        let plan = tuner
-            .plan(&graph, &runtime, *config)
-            .map_err(|e| e.to_string())?;
-        let report = runtime.simulate(&graph, &plan).map_err(|e| e.to_string())?;
+        let plan = tuner.plan(&graph, &runtime, *config)?;
+        let report = runtime.simulate(&graph, &plan)?;
         // Trace the headline edgenn run (or the first run when edgenn
         // never executes, e.g. on CPU-only platforms).
         if traced_events.is_none() || *name == "edgenn" {
@@ -775,10 +629,10 @@ fn cmd_compare(options: &Options) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_check(options: &Options) -> Result<(), String> {
-    let LoadedModel { graph, .. } = required_graph(options)?;
-    let platform = parse_platform(options.value("platform").ok_or("--platform is required")?)?;
-    let config = args::resolve_config(options)?;
+fn cmd_check(args: &Args) -> Result<()> {
+    let (graph, _) = load_model(args)?;
+    let platform = parse_platform(args.require("platform")?)?;
+    let config = args::resolve_config(args)?;
 
     let mut report = edgenn_check::CheckReport::default();
 
@@ -787,31 +641,26 @@ fn cmd_check(options: &Options) -> Result<(), String> {
 
     // Tier B: the profile the tuner plans from, then the plan it emits.
     let runtime = Runtime::new(&platform);
-    let tuner = Tuner::new(&graph, &runtime).map_err(|e| e.to_string())?;
+    let tuner = Tuner::new(&graph, &runtime)?;
     report.extend(edgenn_check::check_profile(tuner.stats()));
-    let plan = tuner
-        .plan(&graph, &runtime, config)
-        .map_err(|e| e.to_string())?;
+    let plan = tuner.plan(&graph, &runtime, config)?;
     report.extend(edgenn_check::check_plan(&graph, &plan, &platform));
 
     // Tier C: one simulated inference, its trace through the
     // happens-before detector, and the report's accounting invariants.
-    let sim_report = runtime.simulate(&graph, &plan).map_err(|e| e.to_string())?;
+    let sim_report = runtime.simulate(&graph, &plan)?;
     report.extend(edgenn_check::check_trace_events(
         &sim_report.events,
         &platform,
     ));
     report.extend(edgenn_check::check_report(&sim_report));
 
-    if options.has("lenient") {
+    if args.has("lenient") {
         report.downgrade_accounting();
     }
 
-    if options.has("json") {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&report.to_json()).map_err(|e| e.to_string())?
-        );
+    if args.has("json") {
+        println!("{}", serde_json::to_string_pretty(&report.to_json())?);
     } else {
         print!("{}", report.render_table());
     }
@@ -823,15 +672,16 @@ fn cmd_check(options: &Options) -> Result<(), String> {
             report.error_count(),
             graph.name(),
             platform.name
-        ))
+        )
+        .into())
     }
 }
 
-fn cmd_compile(options: &Options) -> Result<(), String> {
-    let model = parse_model(options.value("model").ok_or("--model is required")?)?;
-    let scale = parse_scale(options, "paper")?;
+fn cmd_compile(args: &Args) -> Result<()> {
+    let model = parse_model(args.require("model")?)?;
+    let scale = parse_scale(args)?;
     let raw = build(model, scale);
-    let copts = compile_options(options, scale)?;
+    let copts = compile_options(args, scale)?;
     let (compiled, report) = compile(&raw, &copts).map_err(|e| format!("compile: {e}"))?;
 
     // Re-verify the rewrite: EC06x legality, then the full tier-A graph
@@ -841,102 +691,50 @@ fn cmd_compile(options: &Options) -> Result<(), String> {
     check.extend(edgenn_check::check_graph(&compiled));
 
     // With a platform, the compiled graph must also plan cleanly (tier B).
-    let platform = match options.value("platform") {
-        Some(name) => Some(parse_platform(name)?),
-        None => None,
-    };
+    let platform = args.value("platform").map(parse_platform).transpose()?;
     if let Some(p) = &platform {
-        let config = args::resolve_config(options)?;
+        let config = args::resolve_config(args)?;
         let runtime = Runtime::new(p);
-        let tuner = Tuner::new(&compiled, &runtime).map_err(|e| e.to_string())?;
+        let tuner = Tuner::new(&compiled, &runtime)?;
         check.extend(edgenn_check::check_profile(tuner.stats()));
-        let plan = tuner
-            .plan(&compiled, &runtime, config)
-            .map_err(|e| e.to_string())?;
+        let plan = tuner.plan(&compiled, &runtime, config)?;
         check.extend(edgenn_check::check_plan(&compiled, &plan, p));
     }
 
-    if options.has("json") || options.value("out").is_some() {
-        let mut m = serde_json::Map::new();
-        m.insert("model", serde_json::Value::from(raw.name()));
-        m.insert(
-            "platform",
-            platform.as_ref().map_or(serde_json::Value::Null, |p| {
-                serde_json::Value::from(p.name.as_str())
-            }),
-        );
-        m.insert(
-            "scale",
-            serde_json::Value::from(options.value("scale").unwrap_or("paper")),
-        );
-        m.insert(
-            "nodes_pre",
-            serde_json::Value::from(report.nodes_pre as u64),
-        );
-        m.insert(
-            "nodes_post",
-            serde_json::Value::from(report.nodes_post as u64),
-        );
-        m.insert(
-            "edges_pre",
-            serde_json::Value::from(report.edges_pre as u64),
-        );
-        m.insert(
-            "edges_post",
-            serde_json::Value::from(report.edges_post as u64),
-        );
-        m.insert(
-            "iterations",
-            serde_json::Value::from(report.iterations as u64),
-        );
-        m.insert(
-            "prepacked_bytes",
-            serde_json::Value::from(report.prepacked_bytes),
-        );
-        m.insert(
-            "prepacked_nodes",
-            serde_json::Value::from(report.prepacked_nodes as u64),
-        );
-        let passes = report
-            .passes
-            .iter()
-            .map(|p| {
-                let mut row = serde_json::Map::new();
-                row.insert("pass", serde_json::Value::from(p.pass));
-                row.insert("iteration", serde_json::Value::from(p.iteration as u64));
-                row.insert(
-                    "nodes_before",
-                    serde_json::Value::from(p.nodes_before as u64),
-                );
-                row.insert("nodes_after", serde_json::Value::from(p.nodes_after as u64));
-                row.insert(
-                    "edges_before",
-                    serde_json::Value::from(p.edges_before as u64),
-                );
-                row.insert("edges_after", serde_json::Value::from(p.edges_after as u64));
-                row.insert("rewrites", serde_json::Value::from(p.rewrites as u64));
-                serde_json::Value::Object(row)
-            })
-            .collect::<Vec<_>>();
-        m.insert("passes", serde_json::Value::Array(passes));
-        m.insert("check", check.to_json());
-        m.insert("clean", serde_json::Value::from(check.is_clean()));
-        let text = serde_json::to_string_pretty(&serde_json::Value::Object(m))
-            .map_err(|e| e.to_string())?;
-        if let Some(path) = options.value("out") {
-            std::fs::write(path, &text).map_err(|e| format!("writing {path}: {e}"))?;
-            if !options.has("json") {
-                eprintln!("compile report written to {path}");
-            }
-        }
-        if options.has("json") {
-            println!("{text}");
-        }
+    if args.has("json") || args.value("out").is_some() {
+        let passes = report.passes.iter().map(|p| {
+            object([
+                ("pass", p.pass.into()),
+                ("iteration", p.iteration.into()),
+                ("nodes_before", p.nodes_before.into()),
+                ("nodes_after", p.nodes_after.into()),
+                ("edges_before", p.edges_before.into()),
+                ("edges_after", p.edges_after.into()),
+                ("rewrites", p.rewrites.into()),
+            ])
+        });
+        let platform = platform.as_ref().map(|p| p.name.as_str());
+        let json = object([
+            ("model", raw.name().into()),
+            ("platform", platform.map_or(Value::Null, Value::from)),
+            ("scale", args.require("scale")?.into()),
+            ("nodes_pre", report.nodes_pre.into()),
+            ("nodes_post", report.nodes_post.into()),
+            ("edges_pre", report.edges_pre.into()),
+            ("edges_post", report.edges_post.into()),
+            ("iterations", report.iterations.into()),
+            ("prepacked_bytes", report.prepacked_bytes.into()),
+            ("prepacked_nodes", report.prepacked_nodes.into()),
+            ("passes", Value::Array(passes.collect())),
+            ("check", check.to_json()),
+            ("clean", check.is_clean().into()),
+        ]);
+        emit_report(args, "compile report", &json)?;
     } else {
         println!(
             "{} ({}) — compiled in {} iteration(s): {} -> {} nodes, {} -> {} edges",
             raw.name(),
-            options.value("scale").unwrap_or("paper"),
+            args.require("scale")?,
             report.iterations,
             report.nodes_pre,
             report.nodes_post,
@@ -966,7 +764,7 @@ fn cmd_compile(options: &Options) -> Result<(), String> {
         if !check.diagnostics.is_empty() {
             print!("{}", check.render_table());
         }
-        if options.has("dump") {
+        if args.has("dump") {
             print!("\n{}", compiled.summary());
         }
     }
@@ -978,22 +776,21 @@ fn cmd_compile(options: &Options) -> Result<(), String> {
             "compile verification failed: {} error(s) on {}",
             check.error_count(),
             raw.name()
-        ))
+        )
+        .into())
     }
 }
 
-fn cmd_analyze(options: &Options) -> Result<(), String> {
+fn cmd_analyze(args: &Args) -> Result<()> {
     use edgenn_core::runtime::sched_explore;
 
-    let LoadedModel { graph, .. } = required_graph(options)?;
-    let platform = parse_platform(options.value("platform").ok_or("--platform is required")?)?;
-    let config = args::resolve_config(options)?;
+    let (graph, _) = load_model(args)?;
+    let platform = parse_platform(args.require("platform")?)?;
+    let config = args::resolve_config(args)?;
 
     let runtime = Runtime::new(&platform);
-    let tuner = Tuner::new(&graph, &runtime).map_err(|e| e.to_string())?;
-    let plan = tuner
-        .plan(&graph, &runtime, config)
-        .map_err(|e| e.to_string())?;
+    let tuner = Tuner::new(&graph, &runtime)?;
+    let plan = tuner.plan(&graph, &runtime, config)?;
 
     // Tier D: static ownership/liveness over the lowered schedule.
     let report = edgenn_check::check_ownership(&graph, &plan, &platform);
@@ -1014,10 +811,9 @@ fn cmd_analyze(options: &Options) -> Result<(), String> {
 
     // Optional conformance gate: the real engine's measured high-water
     // marks must stay under the certified bound.
-    let functional = if options.has("functional") {
+    let functional = if args.has("functional") {
         let input = edgenn_tensor::Tensor::random(graph.input_shape().dims(), 1.0, 7);
-        let outcome = edgenn_core::runtime::functional::execute(&graph, &plan, &input)
-            .map_err(|e| e.to_string())?;
+        let outcome = edgenn_core::runtime::functional::execute(&graph, &plan, &input)?;
         let measured_slot = outcome.engine.slot_bytes;
         let measured_arena = outcome.engine.arena_fresh_bytes;
         let conforms =
@@ -1030,53 +826,35 @@ fn cmd_analyze(options: &Options) -> Result<(), String> {
     let explorer_clean = explorer_violations.is_empty();
     let measured_conforms = functional.is_none_or(|(_, _, ok)| ok);
 
-    if options.has("json") {
-        let mut m = serde_json::Map::new();
-        m.insert("model", serde_json::Value::from(graph.name()));
-        m.insert("platform", serde_json::Value::from(platform.name.as_str()));
-        m.insert(
-            "config",
-            serde_json::Value::from(options.value("config").unwrap_or("edgenn")),
-        );
-        m.insert(
-            "scale",
-            serde_json::Value::from(options.value("scale").unwrap_or("paper")),
-        );
-        m.insert(
-            "ownership",
-            serde_json::to_value(&report).map_err(|e| e.to_string())?,
-        );
-        m.insert("clean", serde_json::Value::from(report.is_clean()));
-        let mut ex = serde_json::Map::new();
-        ex.insert("scenarios", serde_json::Value::from(matrix.len() as u64));
-        ex.insert("interleavings", serde_json::Value::from(interleavings));
-        ex.insert("states", serde_json::Value::from(states));
-        ex.insert(
-            "violations",
-            serde_json::to_value(&explorer_violations).map_err(|e| e.to_string())?,
-        );
-        ex.insert("clean", serde_json::Value::from(explorer_clean));
-        m.insert("explorer", serde_json::Value::Object(ex));
+    if args.has("json") {
+        let explorer = object([
+            ("scenarios", matrix.len().into()),
+            ("interleavings", interleavings.into()),
+            ("states", states.into()),
+            ("violations", serde_json::to_value(&explorer_violations)?),
+            ("clean", explorer_clean.into()),
+        ]);
+        let mut fields = vec![
+            ("model", graph.name().into()),
+            ("platform", platform.name.as_str().into()),
+            ("config", args.require("config")?.into()),
+            ("scale", args.require("scale")?.into()),
+            ("ownership", serde_json::to_value(&report)?),
+            ("clean", report.is_clean().into()),
+            ("explorer", explorer),
+        ];
         if let Some((slot, arena, conforms)) = functional {
-            let mut f = serde_json::Map::new();
-            f.insert("measured_slot_bytes", serde_json::Value::from(slot));
-            f.insert("measured_arena_fresh_bytes", serde_json::Value::from(arena));
-            f.insert(
-                "certified_slot_bytes",
-                serde_json::Value::from(report.bound.slot_bytes),
-            );
-            f.insert(
-                "certified_arena_bytes",
-                serde_json::Value::from(report.bound.arena_bytes),
-            );
-            f.insert("conforms", serde_json::Value::from(conforms));
-            m.insert("functional", serde_json::Value::Object(f));
+            let functional = object([
+                ("measured_slot_bytes", slot.into()),
+                ("measured_arena_fresh_bytes", arena.into()),
+                ("certified_slot_bytes", report.bound.slot_bytes.into()),
+                ("certified_arena_bytes", report.bound.arena_bytes.into()),
+                ("conforms", conforms.into()),
+            ]);
+            fields.push(("functional", functional));
         }
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&serde_json::Value::Object(m))
-                .map_err(|e| e.to_string())?
-        );
+        let json = object(fields);
+        println!("{}", serde_json::to_string_pretty(&json)?);
     } else {
         println!(
             "{} on {} — tier-D ownership/liveness analysis ({} abstract ops)",
@@ -1143,28 +921,29 @@ fn cmd_analyze(options: &Options) -> Result<(), String> {
             } else {
                 ", measured footprint exceeded the certified bound".to_string()
             }
-        ))
+        )
+        .into())
     }
 }
 
 /// Resolves a `--faults` argument: a bare integer is a seed for a
 /// reproducible random plan, anything else goes through the spec
 /// grammar (see `FaultPlan::parse`).
-fn parse_faults(spec: &str, nodes: usize) -> Result<edgenn_sim::FaultPlan, String> {
+fn parse_faults(spec: &str, nodes: usize) -> Result<edgenn_sim::FaultPlan> {
     if let Ok(seed) = spec.parse::<u64>() {
         return Ok(edgenn_sim::FaultPlan::from_seed(seed, nodes));
     }
-    edgenn_sim::FaultPlan::parse(spec)
+    Ok(edgenn_sim::FaultPlan::parse(spec)?)
 }
 
 /// Builds the resilience policy from `--max-retries` / `--deadline-us`.
-fn resilience_config(options: &Options) -> Result<ResilienceConfig, String> {
+fn resilience_config(args: &Args) -> Result<ResilienceConfig> {
     let mut cfg = ResilienceConfig::default();
-    if let Some(v) = options.value("max-retries") {
-        cfg.max_retries = v.parse().map_err(|e| format!("--max-retries: {e}"))?;
+    if args.has("max-retries") {
+        cfg.max_retries = args.get("max-retries")?;
     }
-    if let Some(v) = options.value("deadline-us") {
-        cfg.deadline_us = Some(v.parse().map_err(|e| format!("--deadline-us: {e}"))?);
+    if args.has("deadline-us") {
+        cfg.deadline_us = Some(args.get("deadline-us")?);
     }
     Ok(cfg)
 }
@@ -1179,39 +958,14 @@ struct StormRun {
 /// Per-model inputs a storm round runs against: the paper-scale graph
 /// and plan for the analytic path, and a tiny-scale functional twin
 /// with its fault-free reference output for the bitwise-identity gate.
-struct StormTarget<'a> {
-    graph: &'a edgenn_nn::graph::Graph,
-    plan: &'a ExecutionPlan,
-    tiny: &'a edgenn_nn::graph::Graph,
-    tiny_plan: &'a ExecutionPlan,
-    input: &'a edgenn_tensor::Tensor,
-    reference: &'a edgenn_tensor::Tensor,
-}
-
-/// The owned per-model pieces a storm round borrows (see
-/// [`StormTarget`]): paper-scale graph and plan for the analytic path,
-/// tiny twin with its fault-free reference for the bitwise gate.
 struct StormSetup {
-    graph: edgenn_nn::graph::Graph,
+    graph: Graph,
     plan: ExecutionPlan,
     clean_us: f64,
-    tiny: edgenn_nn::graph::Graph,
+    tiny: Graph,
     tiny_plan: ExecutionPlan,
     input: edgenn_tensor::Tensor,
     reference: edgenn_tensor::Tensor,
-}
-
-impl StormSetup {
-    fn target(&self) -> StormTarget<'_> {
-        StormTarget {
-            graph: &self.graph,
-            plan: &self.plan,
-            tiny: &self.tiny,
-            tiny_plan: &self.tiny_plan,
-            input: &self.input,
-            reference: &self.reference,
-        }
-    }
 }
 
 /// Plans one model at both scales and computes the fault-free
@@ -1221,26 +975,17 @@ fn storm_setup(
     runtime: &Runtime<'_>,
     config: ExecutionConfig,
     seed: u64,
-) -> Result<StormSetup, String> {
+) -> Result<StormSetup> {
     let graph = build(kind, ModelScale::Paper);
-    let tuner = Tuner::new(&graph, runtime).map_err(|e| e.to_string())?;
-    let plan = tuner
-        .plan(&graph, runtime, config)
-        .map_err(|e| e.to_string())?;
-    let clean_us = runtime
-        .simulate(&graph, &plan)
-        .map_err(|e| e.to_string())?
-        .total_us;
+    let tuner = Tuner::new(&graph, runtime)?;
+    let plan = tuner.plan(&graph, runtime, config)?;
+    let clean_us = runtime.simulate(&graph, &plan)?.total_us;
 
     let tiny = build(kind, ModelScale::Tiny);
-    let tiny_tuner = Tuner::new(&tiny, runtime).map_err(|e| e.to_string())?;
-    let tiny_plan = tiny_tuner
-        .plan(&tiny, runtime, config)
-        .map_err(|e| e.to_string())?;
+    let tiny_tuner = Tuner::new(&tiny, runtime)?;
+    let tiny_plan = tiny_tuner.plan(&tiny, runtime, config)?;
     let input = edgenn_tensor::Tensor::random(tiny.input_shape().dims(), 1.0, seed);
-    let reference = edgenn_core::runtime::functional::execute(&tiny, &tiny_plan, &input)
-        .map_err(|e| e.to_string())?
-        .output;
+    let reference = edgenn_core::runtime::functional::execute(&tiny, &tiny_plan, &input)?.output;
     Ok(StormSetup {
         graph,
         plan,
@@ -1262,7 +1007,7 @@ fn storm_replay(
     rcfg: &ResilienceConfig,
     base_seed: u64,
     replay_seed: u64,
-) -> Result<(), String> {
+) -> Result<()> {
     println!(
         "storm replay: seed {replay_seed} on {}, retry budget {}",
         platform.name, rcfg.max_retries
@@ -1270,8 +1015,7 @@ fn storm_replay(
     let mut failures: Vec<String> = Vec::new();
     for kind in kinds {
         let setup = storm_setup(*kind, runtime, config, base_seed)?;
-        let target = setup.target();
-        match storm_run(&target, platform, runtime, replay_seed, rcfg) {
+        match storm_run(&setup, platform, runtime, replay_seed, rcfg) {
             Ok(run) => println!(
                 "{:<12} ok: {:.3} ms degraded ({:.3} ms clean), {} fault(s), {} retr(y/ies), \
                  {} fallback(s), {} deadline degradation(s)",
@@ -1292,7 +1036,7 @@ fn storm_replay(
     if failures.is_empty() {
         Ok(())
     } else {
-        Err(format!("replay failed:\n  {}", failures.join("\n  ")))
+        Err(format!("replay failed:\n  {}", failures.join("\n  ")).into())
     }
 }
 
@@ -1301,15 +1045,15 @@ fn storm_replay(
 /// then a functional execution that must reproduce the fault-free
 /// output bit for bit.
 fn storm_run(
-    target: &StormTarget<'_>,
+    target: &StormSetup,
     platform: &Platform,
     runtime: &Runtime<'_>,
     run_seed: u64,
     rcfg: &ResilienceConfig,
-) -> Result<StormRun, String> {
+) -> Result<StormRun> {
     let faults = edgenn_sim::FaultPlan::from_seed(run_seed, target.graph.len());
     let outcome = runtime
-        .simulate_with_faults(target.graph, target.plan, &faults, rcfg)
+        .simulate_with_faults(&target.graph, &target.plan, &faults, rcfg)
         .map_err(|e| format!("analytic: {e}"))?;
 
     let mut check = edgenn_check::CheckReport::default();
@@ -1330,7 +1074,8 @@ fn storm_run(
             "checker: {} error(s): {}",
             check.error_count(),
             codes.join(" ")
-        ));
+        )
+        .into());
     }
 
     let tiny_faults = edgenn_sim::FaultPlan::from_seed(run_seed, target.tiny.len());
@@ -1339,13 +1084,12 @@ fn storm_run(
         target.tiny.len(),
         rcfg.max_retries,
     );
-    let functional = edgenn_core::runtime::functional::Executor::new(target.tiny)
-        .map_err(|e| e.to_string())?
+    let functional = edgenn_core::runtime::functional::Executor::new(&target.tiny)?
         .with_faults(injector)
-        .execute(target.tiny_plan, target.input)
+        .execute(&target.tiny_plan, &target.input)
         .map_err(|e| format!("functional: {e}"))?;
-    if !functional.output.approx_eq(target.reference, 0.0) {
-        return Err("functional output diverged from the fault-free reference".to_string());
+    if !functional.output.approx_eq(&target.reference, 0.0) {
+        return Err("functional output diverged from the fault-free reference".into());
     }
 
     Ok(StormRun {
@@ -1365,49 +1109,36 @@ fn percentile_us(sorted: &[f64], p: f64) -> f64 {
 
 /// Runs the functional engine under the flight recorder and reports the
 /// measured timeline next to the analytic prediction.
-fn cmd_profile(options: &Options) -> Result<(), String> {
+fn cmd_profile(args: &Args) -> Result<()> {
     use edgenn_core::runtime::functional::Executor;
     use edgenn_obs::flight;
     use edgenn_tensor::Tensor;
 
-    let model_name = options
-        .positional(1)
-        .or_else(|| options.value("model"))
-        .ok_or("profile needs a model: edgenn profile <model> --platform P")?;
-    let model = parse_model(model_name)?;
-    let scale = parse_scale(options, "tiny")?;
-    let LoadedModel { graph, .. } = compile_loaded(options, scale, build(model, scale))?;
-    let platform = parse_platform(options.value("platform").ok_or("--platform is required")?)?;
-    let config = args::resolve_config(options)?;
-    let runs: usize = match options.value("runs") {
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("--runs expects a positive integer, got '{v}'"))?,
-        None => 3,
-    };
+    let (graph, _) = load_model(args)?;
+    let platform = parse_platform(args.require("platform")?)?;
+    let config = args::resolve_config(args)?;
+    let runs: usize = args.get("runs")?;
     if runs == 0 {
-        return Err("--runs must be at least 1".to_string());
+        return Err("--runs must be at least 1".into());
     }
 
     // Predicted timeline: the analytic simulator on the target platform.
     let runtime = Runtime::new(&platform);
-    let tuner = Tuner::new(&graph, &runtime).map_err(|e| e.to_string())?;
-    let plan = tuner
-        .plan(&graph, &runtime, config)
-        .map_err(|e| e.to_string())?;
-    let predicted = runtime.simulate(&graph, &plan).map_err(|e| e.to_string())?;
+    let tuner = Tuner::new(&graph, &runtime)?;
+    let plan = tuner.plan(&graph, &runtime, config)?;
+    let predicted = runtime.simulate(&graph, &plan)?;
 
     // Measured timeline: real functional runs with the recorder on.
     // One warm-up populates the scratch arena and the worker pool, then
     // the fastest of `runs` recorded requests is kept.
     flight::enable();
-    let executor = Executor::new(&graph).map_err(|e| e.to_string())?;
+    let executor = Executor::new(&graph)?;
     let input = Tensor::random(graph.input_shape().dims(), 1.0, 7);
-    executor.execute(&plan, &input).map_err(|e| e.to_string())?;
+    executor.execute(&plan, &input)?;
     let mut kept: Option<(Vec<flight::SpanRecord>, flight::SpanRecord, ProfileSummary)> = None;
     for _ in 0..runs {
         let marker = flight::mark();
-        let outcome = executor.execute(&plan, &input).map_err(|e| e.to_string())?;
+        let outcome = executor.execute(&plan, &input)?;
         let records = flight::drain_since(&marker);
         let root = records
             .iter()
@@ -1439,7 +1170,7 @@ fn cmd_profile(options: &Options) -> Result<(), String> {
         for d in &diags {
             msg.push_str(&format!("  {d}\n"));
         }
-        return Err(msg);
+        return Err(msg.into());
     }
 
     let mut nodes = edgenn_obs::flight::node_profiles(&slice);
@@ -1452,58 +1183,44 @@ fn cmd_profile(options: &Options) -> Result<(), String> {
             .map(|l| (l.name.clone(), l.kernel_us + l.memory_us))
     };
 
-    if options.value("perfetto").is_some() {
-        write_profile_trace(options, &predicted.events, &slice, root.start_ns, &graph)?;
-    } else if options.has("perfetto") {
-        return Err("--perfetto requires a file path".to_string());
+    if let Some(path) = args.value("perfetto") {
+        write_profile_trace(path, &predicted.events, &slice, root.start_ns, &graph)?;
     }
 
-    if options.has("json") {
-        let mut m = serde_json::Map::new();
-        m.insert("model", serde_json::Value::from(graph.name()));
-        m.insert("platform", serde_json::Value::from(platform.name.as_str()));
-        m.insert(
-            "config",
-            serde_json::Value::from(options.value("config").unwrap_or("edgenn")),
-        );
-        m.insert(
-            "scale",
-            serde_json::Value::from(options.value("scale").unwrap_or("tiny")),
-        );
-        m.insert("runs", serde_json::Value::from(runs as f64));
-        m.insert("wall_us", serde_json::Value::from(wall_us));
-        m.insert(
-            "predicted_total_us",
-            serde_json::Value::from(predicted.total_us),
-        );
-        m.insert("flight_check", serde_json::Value::from("clean"));
-        m.insert("profile", profile.to_value());
+    if args.has("json") {
         let node_values = nodes
             .iter()
             .map(|n| {
                 let mut v = n.to_value();
-                if let serde_json::Value::Object(map) = &mut v {
+                if let Value::Object(map) = &mut v {
                     if let Some((name, predicted_us)) = layer_of(n.node) {
-                        map.insert("layer", serde_json::Value::from(name));
-                        map.insert("predicted_us", serde_json::Value::from(predicted_us));
+                        map.insert("layer", Value::from(name));
+                        map.insert("predicted_us", Value::from(predicted_us));
                     }
                 }
                 v
             })
-            .collect::<Vec<_>>();
-        m.insert("nodes", serde_json::Value::Array(node_values));
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&serde_json::Value::Object(m))
-                .map_err(|e| e.to_string())?
-        );
+            .collect();
+        let json = object([
+            ("model", graph.name().into()),
+            ("platform", platform.name.as_str().into()),
+            ("config", args.require("config")?.into()),
+            ("scale", args.require("scale")?.into()),
+            ("runs", runs.into()),
+            ("wall_us", wall_us.into()),
+            ("predicted_total_us", predicted.total_us.into()),
+            ("flight_check", "clean".into()),
+            ("profile", profile.to_value()),
+            ("nodes", Value::Array(node_values)),
+        ]);
+        println!("{}", serde_json::to_string_pretty(&json)?);
         return Ok(());
     }
 
     println!(
         "profiled {} ({}) on {} — {} run(s), fastest request {:.1} us",
         graph.name(),
-        options.value("scale").unwrap_or("tiny"),
+        args.require("scale")?,
         platform.name,
         runs,
         wall_us
@@ -1527,15 +1244,7 @@ fn cmd_profile(options: &Options) -> Result<(), String> {
         platform.name
     );
     println!(
-        "  {:<5} {:<22} {:>12} {:>12} {:>9} {:>10} {:>9} {:>9}",
-        "node",
-        "layer",
-        "predicted us",
-        "measured us",
-        "pack us",
-        "compute us",
-        "merge us",
-        "queue us"
+        "  node  layer                  predicted us  measured us   pack us compute us  merge us  queue us"
     );
     for n in &nodes {
         let (name, predicted_us) =
@@ -1560,15 +1269,14 @@ fn cmd_profile(options: &Options) -> Result<(), String> {
 /// (pid 3, one thread row per worker), then parses the written file back
 /// to guarantee downstream tooling can load it.
 fn write_profile_trace(
-    options: &Options,
+    path: &str,
     predicted_events: &[edgenn_sim::TraceEvent],
     slice: &[edgenn_obs::SpanRecord],
     t0_ns: u64,
-    graph: &edgenn_nn::graph::Graph,
-) -> Result<(), String> {
+    graph: &Graph,
+) -> Result<()> {
     use edgenn_obs::flight;
 
-    let path = options.value("perfetto").expect("caller checked");
     let mut entries = edgenn_sim::chrome_trace_entries(predicted_events, &[]);
     entries.push(process_name_entry(1, "simulated (analytic model)"));
     entries.push(process_name_entry(3, "measured (flight recorder)"));
@@ -1579,21 +1287,20 @@ fn write_profile_trace(
         )
     };
     entries.extend(flight::chrome_entries(slice, 3, t0_ns, &name_of));
-    let json = serde_json::to_string_pretty(&serde_json::Value::Array(entries))
-        .map_err(|e| e.to_string())?;
+    let json = serde_json::to_string_pretty(&Value::Array(entries))?;
     std::fs::write(path, &json).map_err(|e| format!("writing {path}: {e}"))?;
     let reread = std::fs::read_to_string(path).map_err(|e| format!("re-reading {path}: {e}"))?;
-    let parsed: serde_json::Value =
+    let parsed: Value =
         serde_json::from_str(&reread).map_err(|e| format!("{path} is not valid JSON: {e}"))?;
-    let serde_json::Value::Array(checked) = parsed else {
-        return Err(format!("{path}: a Chrome trace must be a JSON array"));
+    let Value::Array(checked) = parsed else {
+        return Err(format!("{path}: a Chrome trace must be a JSON array").into());
     };
     let measured_spans = checked
         .iter()
         .filter(|e| e["pid"] == 3.0 && e["ph"] == "X")
         .count();
     if measured_spans == 0 {
-        return Err(format!("{path}: no measured spans made it into the trace"));
+        return Err(format!("{path}: no measured spans made it into the trace").into());
     }
     eprintln!(
         "merged trace written to {path} ({} entries, {} measured spans; load in Perfetto)",
@@ -1604,69 +1311,45 @@ fn write_profile_trace(
 }
 
 /// Chrome-trace metadata row labelling a process track.
-fn process_name_entry(pid: u64, name: &str) -> serde_json::Value {
-    let mut args = serde_json::Map::new();
-    args.insert("name", serde_json::Value::from(name));
-    let mut m = serde_json::Map::new();
-    m.insert("name", serde_json::Value::from("process_name"));
-    m.insert("ph", serde_json::Value::from("M"));
-    m.insert("pid", serde_json::Value::from(pid as f64));
-    m.insert("args", serde_json::Value::Object(args));
-    serde_json::Value::Object(m)
+fn process_name_entry(pid: u64, name: &str) -> Value {
+    object([
+        ("name", "process_name".into()),
+        ("ph", "M".into()),
+        ("pid", pid.into()),
+        ("args", object([("name", name.into())])),
+    ])
 }
 
-fn cmd_storm(options: &Options) -> Result<(), String> {
-    options.ensure_known(&[
-        "model",
-        "platform",
-        "config",
-        "precision",
-        "seed",
-        "runs",
-        "max-retries",
-        "deadline-us",
-        "replay-seed",
-        "inject-failure",
-        "json",
-        "out",
-    ])?;
-    let platform = parse_platform(options.value("platform").unwrap_or("jetson"))?;
+fn cmd_storm(args: &Args) -> Result<()> {
+    let platform = parse_platform(args.require("platform")?)?;
     let config = if platform.has_gpu() {
-        args::resolve_config(options)?
+        args::resolve_config(args)?
     } else {
         // Hybrid configs cannot plan without a GPU; a CPU-only storm
         // still exercises the window and OOM fault classes.
         ExecutionConfig::cpu_only()
     };
-    let seed: u64 = options
-        .value("seed")
-        .unwrap_or("42")
-        .parse()
-        .map_err(|e| format!("--seed: {e}"))?;
-    let runs: usize = options
-        .value("runs")
-        .unwrap_or("100")
-        .parse()
-        .map_err(|e| format!("--runs: {e}"))?;
+    let seed: u64 = args.get("seed")?;
+    let runs: usize = args.get("runs")?;
     if runs == 0 {
-        return Err("--runs must be at least 1".to_string());
+        return Err("--runs must be at least 1".into());
     }
-    let rcfg = resilience_config(options)?;
-    let inject: Option<usize> = match options.value("inject-failure") {
-        Some(v) => Some(v.parse().map_err(|e| format!("--inject-failure: {e}"))?),
-        None => None,
-    };
-    let kinds: Vec<ModelKind> = match options.value("model") {
-        None | Some("all") => ModelKind::ALL.to_vec(),
-        Some(name) => vec![parse_model(name)?],
+    let rcfg = resilience_config(args)?;
+    let inject = args
+        .has("inject-failure")
+        .then(|| args.get::<usize>("inject-failure"));
+    let inject = inject.transpose()?;
+    let kinds: Vec<ModelKind> = match args.require("model")? {
+        "all" => ModelKind::ALL.to_vec(),
+        name => vec![parse_model(name)?],
     };
 
     let runtime = Runtime::new(&platform);
-    if let Some(v) = options.value("replay-seed") {
-        let replay: u64 = v.parse().map_err(|e| format!("--replay-seed: {e}"))?;
+    if args.has("replay-seed") {
+        let replay: u64 = args.get("replay-seed")?;
         return storm_replay(&kinds, &platform, &runtime, config, &rcfg, seed, replay);
     }
-    let json_wanted = options.has("json");
+    let json_wanted = args.has("json");
     if !json_wanted {
         println!(
             "fault storm: {runs} run(s)/model on {}, base seed {seed}, retry budget {}",
@@ -1685,7 +1368,6 @@ fn cmd_storm(options: &Options) -> Result<(), String> {
     for kind in kinds {
         let setup = storm_setup(kind, &runtime, config, seed)?;
         let clean_us = setup.clean_us;
-        let target = setup.target();
 
         let mut latencies: Vec<f64> = Vec::with_capacity(runs);
         let mut survived = 0usize;
@@ -1703,7 +1385,7 @@ fn cmd_storm(options: &Options) -> Result<(), String> {
                 failed_seeds.push(run_seed);
                 continue;
             }
-            match storm_run(&target, &platform, &runtime, run_seed, &rcfg) {
+            match storm_run(&setup, &platform, &runtime, run_seed, &rcfg) {
                 Ok(run) => {
                     survived += 1;
                     latencies.push(run.total_us);
@@ -1742,79 +1424,39 @@ fn cmd_storm(options: &Options) -> Result<(), String> {
         }
         first_failures.extend(failures.iter().take(3).cloned());
 
-        let mut m = serde_json::Map::new();
-        m.insert("model", serde_json::Value::from(kind.name()));
-        m.insert("runs", serde_json::Value::from(runs as u64));
-        m.insert("survived", serde_json::Value::from(survived as u64));
-        m.insert(
-            "survival_rate",
-            serde_json::Value::from(survived as f64 / runs as f64),
-        );
-        m.insert("clean_us", serde_json::Value::from(clean_us));
-        m.insert("p50_degraded_us", serde_json::Value::from(p50));
-        m.insert("p99_degraded_us", serde_json::Value::from(p99));
-        m.insert("faults_injected", serde_json::Value::from(injected));
-        m.insert("retries", serde_json::Value::from(retries));
-        m.insert("fallbacks", serde_json::Value::from(fallbacks));
-        m.insert(
-            "deadline_degradations",
-            serde_json::Value::from(degradations),
-        );
-        m.insert(
-            "failures",
-            serde_json::to_value(&failures).map_err(|e| e.to_string())?,
-        );
-        // Seeds are the replay currency: paste any of these into
-        // `edgenn storm --replay-seed N` to reproduce the round.
-        m.insert(
-            "failed_seeds",
-            serde_json::Value::Array(
-                failed_seeds
-                    .iter()
-                    .map(|s| serde_json::Value::from(*s))
-                    .collect(),
-            ),
-        );
-        m.insert(
-            "degraded_seeds",
-            serde_json::Value::Array(
-                degraded_seeds
-                    .iter()
-                    .map(|s| serde_json::Value::from(*s))
-                    .collect(),
-            ),
-        );
-        model_values.push(serde_json::Value::Object(m));
+        model_values.push(object([
+            ("model", kind.name().into()),
+            ("runs", runs.into()),
+            ("survived", survived.into()),
+            ("survival_rate", (survived as f64 / runs as f64).into()),
+            ("clean_us", clean_us.into()),
+            ("p50_degraded_us", p50.into()),
+            ("p99_degraded_us", p99.into()),
+            ("faults_injected", injected.into()),
+            ("retries", retries.into()),
+            ("fallbacks", fallbacks.into()),
+            ("deadline_degradations", degradations.into()),
+            ("failures", serde_json::to_value(&failures)?),
+            // Seeds are the replay currency: paste any of these into
+            // `edgenn storm --replay-seed N` to reproduce the round.
+            ("failed_seeds", serde_json::to_value(&failed_seeds)?),
+            ("degraded_seeds", serde_json::to_value(&degraded_seeds)?),
+        ]));
     }
 
     let survival_rate = total_survived as f64 / total_runs as f64;
-    let mut top = serde_json::Map::new();
-    top.insert("platform", serde_json::Value::from(platform.name.as_str()));
-    top.insert("seed", serde_json::Value::from(seed));
-    top.insert("runs_per_model", serde_json::Value::from(runs as u64));
-    top.insert("max_retries", serde_json::Value::from(rcfg.max_retries));
-    top.insert("total_runs", serde_json::Value::from(total_runs as u64));
-    top.insert(
-        "total_survived",
-        serde_json::Value::from(total_survived as u64),
-    );
-    top.insert("survival_rate", serde_json::Value::from(survival_rate));
-    top.insert("models", serde_json::Value::Array(model_values));
-    let summary = serde_json::Value::Object(top);
-
-    if let Some(path) = options.value("out") {
-        let text = serde_json::to_string_pretty(&summary).map_err(|e| e.to_string())?;
-        std::fs::write(path, text).map_err(|e| format!("writing {path}: {e}"))?;
-        if !json_wanted {
-            eprintln!("storm summary written to {path}");
-        }
-    }
-    if json_wanted {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&summary).map_err(|e| e.to_string())?
-        );
-    } else {
+    let summary = object([
+        ("platform", platform.name.as_str().into()),
+        ("seed", seed.into()),
+        ("runs_per_model", runs.into()),
+        ("max_retries", rcfg.max_retries.into()),
+        ("total_runs", total_runs.into()),
+        ("total_survived", total_survived.into()),
+        ("survival_rate", survival_rate.into()),
+        ("models", Value::Array(model_values)),
+    ]);
+    emit_report(args, "storm summary", &summary)?;
+    if !json_wanted {
         println!(
             "survival: {total_survived}/{total_runs} ({:.1}%)",
             survival_rate * 100.0
@@ -1832,7 +1474,7 @@ fn cmd_storm(options: &Options) -> Result<(), String> {
             message.push_str("\n  ");
             message.push_str(failure);
         }
-        Err(message)
+        Err(message.into())
     }
 }
 
@@ -1841,19 +1483,8 @@ fn cmd_storm(options: &Options) -> Result<(), String> {
 fn render_serve_report(report: &edgenn_serve::SiegeReport) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<12} {:>6} {:>8} {:>8} {:>8} {:>5} {:>9} {:>9} {:>9} {:>9}",
-        "tenant",
-        "weight",
-        "arrived",
-        "admitted",
-        "rejected",
-        "shed",
-        "completed",
-        "p50 ms",
-        "p99 ms",
-        "p999 ms"
+    out.push_str(
+        "tenant       weight  arrived admitted rejected  shed completed    p50 ms    p99 ms   p999 ms\n",
     );
     for t in &report.tenants {
         let _ = writeln!(
@@ -1905,14 +1536,14 @@ fn serve_check(report: &edgenn_serve::SiegeReport) -> edgenn_check::CheckReport 
 /// then the exit gate — non-zero on any lost request, bitwise
 /// divergence, queue-bound breach, or EC07x checker error.
 fn serve_epilogue(
-    options: &Options,
+    args: &Args,
     command: &str,
     report: &edgenn_serve::SiegeReport,
     check: Option<&edgenn_check::CheckReport>,
-    extra: Vec<(&'static str, serde_json::Value)>,
-) -> Result<(), String> {
-    let serde_json::Value::Object(mut summary) = report.to_value() else {
-        return Err("serve report did not serialize to an object".to_string());
+    extra: Vec<(&'static str, Value)>,
+) -> Result<()> {
+    let Value::Object(mut summary) = report.to_value() else {
+        return Err("serve report did not serialize to an object".into());
     };
     for (key, value) in extra {
         summary.insert(key.to_string(), value);
@@ -1920,20 +1551,7 @@ fn serve_epilogue(
     if let Some(check) = check {
         summary.insert("checker".to_string(), check.to_json());
     }
-    let summary = serde_json::Value::Object(summary);
-    if let Some(path) = options.value("out") {
-        let text = serde_json::to_string_pretty(&summary).map_err(|e| e.to_string())?;
-        std::fs::write(path, text).map_err(|e| format!("writing {path}: {e}"))?;
-        if !options.has("json") {
-            eprintln!("{command} report written to {path}");
-        }
-    }
-    if options.has("json") {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&summary).map_err(|e| e.to_string())?
-        );
-    }
+    emit_report(args, &format!("{command} report"), &Value::Object(summary))?;
     let checker_errors = check.map_or(0, edgenn_check::CheckReport::error_count);
     if report.gate_clean() && checker_errors == 0 {
         return Ok(());
@@ -1965,55 +1583,52 @@ fn serve_epilogue(
             message.push_str(&d.message);
         }
     }
-    Err(message)
+    Err(message.into())
+}
+
+/// Applies the serving flags `serve` and `siege` share to their config.
+fn serving_overrides(
+    args: &Args,
+    platform: &mut Platform,
+    queue_capacity: &mut usize,
+    policy: &mut edgenn_serve::BatchPolicy,
+) -> Result<()> {
+    if let Some(v) = args.value("platform") {
+        *platform = parse_platform(v)?;
+    }
+    if args.has("queue-capacity") {
+        *queue_capacity = args.get("queue-capacity")?;
+    }
+    if args.has("max-batch") {
+        policy.max_batch = args.get("max-batch")?;
+    }
+    if args.has("max-delay-us") {
+        policy.max_delay_us = args.get("max-delay-us")?;
+    }
+    Ok(())
 }
 
 /// The wall-clock serving loop: seeded clients push through admission
 /// into the bounded queue; the dispatcher batches weighted-fair and
 /// executes for real.
-fn cmd_serve(options: &Options) -> Result<(), String> {
-    options.ensure_known(&[
-        "seed",
-        "duration-ms",
-        "platform",
-        "queue-capacity",
-        "max-batch",
-        "max-delay-us",
-        "check",
-        "json",
-        "out",
-    ])?;
-    let seed: u64 = options
-        .value("seed")
-        .unwrap_or("42")
-        .parse()
-        .map_err(|e| format!("--seed: {e}"))?;
-    let duration_ms: u64 = options
-        .value("duration-ms")
-        .unwrap_or("1000")
-        .parse()
-        .map_err(|e| format!("--duration-ms: {e}"))?;
+fn cmd_serve(args: &Args) -> Result<()> {
+    let seed: u64 = args.get("seed")?;
+    let duration_ms: u64 = args.get("duration-ms")?;
     let mut cfg = edgenn_serve::ServeConfig::demo(seed, duration_ms);
-    if let Some(v) = options.value("platform") {
-        cfg.platform = parse_platform(v)?;
-    }
-    if let Some(v) = options.value("queue-capacity") {
-        cfg.queue_capacity = v.parse().map_err(|e| format!("--queue-capacity: {e}"))?;
-    }
-    if let Some(v) = options.value("max-batch") {
-        cfg.policy.max_batch = v.parse().map_err(|e| format!("--max-batch: {e}"))?;
-    }
-    if let Some(v) = options.value("max-delay-us") {
-        cfg.policy.max_delay_us = v.parse().map_err(|e| format!("--max-delay-us: {e}"))?;
-    }
+    serving_overrides(
+        args,
+        &mut cfg.platform,
+        &mut cfg.queue_capacity,
+        &mut cfg.policy,
+    )?;
     let recorder = Recorder::new();
     let report = edgenn_serve::run_server(&cfg, Some(&recorder))?;
-    let check = if options.has("check") {
+    let check = if args.has("check") {
         Some(serve_check(&report))
     } else {
         None
     };
-    if !options.has("json") {
+    if !args.has("json") {
         println!(
             "serve: seed {seed}, {duration_ms} ms wall clock, {} tenant(s) x {} model(s) on {}",
             cfg.tenants.len(),
@@ -2030,13 +1645,13 @@ fn cmd_serve(options: &Options) -> Result<(), String> {
         }
     }
     serve_epilogue(
-        options,
+        args,
         "serve",
         &report,
         check.as_ref(),
         vec![
-            ("seed", serde_json::Value::from(seed)),
-            ("duration_ms", serde_json::Value::from(duration_ms)),
+            ("seed", Value::from(seed)),
+            ("duration_ms", Value::from(duration_ms)),
         ],
     )
 }
@@ -2044,50 +1659,28 @@ fn cmd_serve(options: &Options) -> Result<(), String> {
 /// The deterministic fault-injected load gate: seeded virtual-time load
 /// over the full serving pipeline, real batch executions gated bitwise,
 /// admission log replayed through the EC07x checker.
-fn cmd_siege(options: &Options) -> Result<(), String> {
-    options.ensure_known(&[
-        "seed",
-        "duration-us",
-        "platform",
-        "queue-capacity",
-        "max-batch",
-        "max-delay-us",
-        "no-faults",
-        "max-retries",
-        "json",
-        "out",
-    ])?;
-    let seed: u64 = options
-        .value("seed")
-        .unwrap_or("42")
-        .parse()
-        .map_err(|e| format!("--seed: {e}"))?;
+fn cmd_siege(args: &Args) -> Result<()> {
+    let seed: u64 = args.get("seed")?;
     let mut cfg = edgenn_serve::SiegeConfig::ci(seed);
-    if let Some(v) = options.value("duration-us") {
-        cfg.duration_us = v.parse().map_err(|e| format!("--duration-us: {e}"))?;
+    if args.has("duration-us") {
+        cfg.duration_us = args.get("duration-us")?;
     }
-    if let Some(v) = options.value("platform") {
-        cfg.platform = parse_platform(v)?;
-    }
-    if let Some(v) = options.value("queue-capacity") {
-        cfg.queue_capacity = v.parse().map_err(|e| format!("--queue-capacity: {e}"))?;
-    }
-    if let Some(v) = options.value("max-batch") {
-        cfg.policy.max_batch = v.parse().map_err(|e| format!("--max-batch: {e}"))?;
-    }
-    if let Some(v) = options.value("max-delay-us") {
-        cfg.policy.max_delay_us = v.parse().map_err(|e| format!("--max-delay-us: {e}"))?;
-    }
-    if options.has("no-faults") {
+    serving_overrides(
+        args,
+        &mut cfg.platform,
+        &mut cfg.queue_capacity,
+        &mut cfg.policy,
+    )?;
+    if args.has("no-faults") {
         cfg.faults = false;
     }
-    if let Some(v) = options.value("max-retries") {
-        cfg.max_retries = v.parse().map_err(|e| format!("--max-retries: {e}"))?;
+    if args.has("max-retries") {
+        cfg.max_retries = args.get("max-retries")?;
     }
     let recorder = Recorder::new();
     let report = edgenn_serve::run_siege(&cfg, Some(&recorder))?;
     let check = serve_check(&report);
-    if !options.has("json") {
+    if !args.has("json") {
         println!(
             "siege: seed {seed}, {:.0} ms virtual, {} tenant(s) x {} model(s) on {}, faults {}",
             cfg.duration_us / 1e3,
@@ -2107,45 +1700,39 @@ fn cmd_siege(options: &Options) -> Result<(), String> {
         }
     }
     serve_epilogue(
-        options,
+        args,
         "siege",
         &report,
         Some(&check),
         vec![
-            ("seed", serde_json::Value::from(seed)),
-            ("duration_us", serde_json::Value::from(cfg.duration_us)),
-            ("faults", serde_json::Value::from(cfg.faults)),
+            ("seed", Value::from(seed)),
+            ("duration_us", Value::from(cfg.duration_us)),
+            ("faults", Value::from(cfg.faults)),
         ],
     )
 }
 
-fn cmd_inspect(options: &Options) -> Result<(), String> {
-    let LoadedModel { graph, .. } = required_graph(options)?;
+fn cmd_inspect(args: &Args) -> Result<()> {
+    let (graph, _) = load_model(args)?;
     print!("{}", graph.summary());
-    let structure = graph.structure().map_err(|e| e.to_string())?;
+    let structure = graph.structure()?;
     if structure.is_pure_chain() {
-        println!(
-            "
-structure: pure chain"
-        );
+        println!("\nstructure: pure chain");
     } else {
-        println!(
-            "
-structure: {} fork-join region(s)",
-            structure.parallel_segment_count()
-        );
+        let regions = structure.parallel_segment_count();
+        println!("\nstructure: {regions} fork-join region(s)");
     }
     Ok(())
 }
 
-fn cmd_models() -> Result<(), String> {
+fn cmd_models() -> Result<()> {
     println!(
         "{:<12} {:>10} {:>12} {:>8}  structure",
         "model", "layers", "GFLOPs", "params"
     );
     for kind in ModelKind::ALL {
         let graph = build(kind, ModelScale::Paper);
-        let structure = graph.structure().map_err(|e| e.to_string())?;
+        let structure = graph.structure()?;
         let desc = if structure.is_pure_chain() {
             "chain".to_string()
         } else {

@@ -162,6 +162,19 @@ fn bad_inputs_fail_with_useful_messages() {
         ),
         (&["frobnicate"], "unknown command"),
         (&[], "USAGE"),
+        (&["siege", "--seed"], "--seed requires a value"),
+        (
+            &[
+                "simulate",
+                "--model",
+                "fcnn",
+                "--platform",
+                "jetson",
+                "--json",
+                "extra",
+            ],
+            "unexpected argument 'extra'",
+        ),
     ];
     for (args, needle) in cases {
         let out = edgenn(args);
@@ -172,6 +185,23 @@ fn bad_inputs_fail_with_useful_messages() {
             "{args:?}: expected '{needle}' in:\n{text}"
         );
     }
+    // A switch never takes the next token as its value.
+    let out = edgenn(&[
+        "profile",
+        "--json",
+        "squeezenet",
+        "--platform",
+        "apu",
+        "--runs",
+        "1",
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let profile: serde_json::Value = serde_json::from_slice(&out.stdout).expect("valid JSON");
+    assert_eq!(profile["model"], "SqueezeNet");
 }
 
 #[test]
@@ -230,16 +260,46 @@ fn serve_runs_realtime_and_check_replays_the_log() {
 }
 
 #[test]
-fn serve_and_siege_reject_unknown_flags_like_every_command() {
-    for command in ["serve", "siege", "storm"] {
-        let out = edgenn(&[command, "--frobnicate", "7"]);
-        assert!(!out.status.success(), "{command} accepted a stray flag");
+fn every_command_rejects_unknown_flags_missing_values_and_stray_arguments() {
+    // (command, a flag its error must list, a value flag, a stray-argument line)
+    let commands: &[(&str, &str, Option<&str>, &[&str])] = &[
+        ("simulate", "--layers", Some("--model"), &["x"]),
+        ("explain", "--json", Some("--platform"), &["x"]),
+        ("plan", "--explain", Some("--config"), &["x"]),
+        ("compare", "--metrics-out", Some("--trace-out"), &["x"]),
+        ("check", "--lenient", Some("--scale"), &["x"]),
+        ("compile", "--dump", Some("--out"), &["x"]),
+        ("analyze", "--functional", Some("--precision"), &["x"]),
+        ("profile", "--perfetto", Some("--runs"), &["lenet", "x"]),
+        ("storm", "--replay-seed", Some("--seed"), &["x"]),
+        ("serve", "--duration-ms", Some("--queue-capacity"), &["x"]),
+        ("siege", "--no-faults", Some("--duration-us"), &["x"]),
+        ("inspect", "--scale", Some("--model"), &["x"]),
+        ("models", "takes no flags", None, &["x"]),
+        ("platforms", "takes no flags", None, &["x"]),
+    ];
+    let fails = |args: &[&str], needle: &str| {
+        let out = edgenn(args);
+        assert!(!out.status.success(), "{args:?} was accepted");
         let text = String::from_utf8(out.stderr).unwrap();
         assert!(
-            text.contains("unknown flag '--frobnicate'"),
-            "{command}: {text}"
+            text.contains(needle),
+            "{args:?}: expected '{needle}' in {text}"
         );
-        assert!(text.contains("--seed"), "{command} suggests its flags");
+        text
+    };
+    for &(command, listed, value_flag, stray) in commands {
+        let text = fails(
+            &[command, "--frobnicate", "7"],
+            "unknown flag '--frobnicate'",
+        );
+        assert!(text.contains(listed), "{command} lists its flags: {text}");
+        if let Some(flag) = value_flag {
+            fails(&[command, flag], &format!("{flag} requires a value"));
+        }
+        let mut args = vec![command];
+        args.extend_from_slice(stray);
+        fails(&args, "unexpected argument 'x'");
     }
 }
 

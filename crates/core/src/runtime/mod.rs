@@ -493,49 +493,6 @@ impl<'a> Runtime<'a> {
         })
     }
 
-    /// Simulates a mixed multi-DNN workload: each job is one inference of
-    /// its own network under its own plan, submitted at t = 0 and executed
-    /// in the given order on the shared device — the multi-model serving
-    /// scenario of the DART line of work the paper cites. Returns the
-    /// per-job completion times and the stream report.
-    ///
-    /// # Errors
-    /// Fails on plan/graph mismatches or an empty job list.
-    pub fn simulate_workload(&self, jobs: &[(&Graph, &ExecutionPlan)]) -> Result<StreamReport> {
-        if jobs.is_empty() {
-            return Err(CoreError::Internal {
-                reason: "empty workload".to_string(),
-            });
-        }
-        for (graph, plan) in jobs {
-            plan.validate(graph)?;
-        }
-        let mut timeline = self.new_timeline();
-        let mut finish_times = Vec::with_capacity(jobs.len());
-        for (request, (graph, plan)) in jobs.iter().enumerate() {
-            let layers = self.run_request(graph, plan, &mut timeline, request as u64)?;
-            let finished = layers
-                .iter()
-                .map(|l| l.end_us)
-                .fold(0.0f64, f64::max)
-                .max(timeline.makespan_us());
-            let started = layers.iter().map(|l| l.start_us).fold(finished, f64::min);
-            self.emit(SinkEvent::Request {
-                latency_us: finished - started,
-            });
-            finish_times.push(finished);
-        }
-        let total_us = timeline.makespan_us();
-        let energy = self.platform.power.energy(&timeline);
-        Ok(StreamReport {
-            requests: jobs.len(),
-            total_us,
-            finish_times_us: finish_times,
-            throughput_per_s: jobs.len() as f64 * 1e6 / total_us,
-            energy,
-        })
-    }
-
     /// Simulates an open-loop request stream with Poisson arrivals at
     /// `rate_per_s`, the standard serving model: requests queue when the
     /// device is busy, and per-request latency is completion minus
@@ -678,15 +635,6 @@ pub struct StreamReport {
 }
 
 impl StreamReport {
-    /// Mean completion time across the stream's requests (us) — the
-    /// scheduling metric shortest-job-first optimizes.
-    pub fn mean_completion_us(&self) -> f64 {
-        if self.finish_times_us.is_empty() {
-            return 0.0;
-        }
-        self.finish_times_us.iter().sum::<f64>() / self.finish_times_us.len() as f64
-    }
-
     /// Average steady-state latency between consecutive completions (us).
     pub fn inter_completion_us(&self) -> f64 {
         if self.finish_times_us.len() < 2 {
@@ -1635,48 +1583,6 @@ mod tests {
             .simulate_poisson_stream(&graph, &plan, capacity * 0.3, 40, 7)
             .unwrap();
         assert_eq!(again.p99_us, light.p99_us);
-    }
-
-    #[test]
-    fn mixed_workload_runs_and_sjf_beats_fifo_on_mean_completion() {
-        let platform = jetson_agx_xavier();
-        let runtime = Runtime::new(&platform);
-        let tuner_plan = |graph: &Graph| {
-            let tuner = crate::tuner::Tuner::new(graph, &runtime).unwrap();
-            tuner
-                .plan(graph, &runtime, ExecutionConfig::edgenn())
-                .unwrap()
-        };
-        let vgg = build(ModelKind::Vgg16, ModelScale::Paper);
-        let lenet = build(ModelKind::LeNet, ModelScale::Paper);
-        let vgg_plan = tuner_plan(&vgg);
-        let lenet_plan = tuner_plan(&lenet);
-
-        // FIFO with the heavy job first vs shortest-job-first.
-        let fifo = runtime
-            .simulate_workload(&[
-                (&vgg, &vgg_plan),
-                (&lenet, &lenet_plan),
-                (&lenet, &lenet_plan),
-            ])
-            .unwrap();
-        let sjf = runtime
-            .simulate_workload(&[
-                (&lenet, &lenet_plan),
-                (&lenet, &lenet_plan),
-                (&vgg, &vgg_plan),
-            ])
-            .unwrap();
-        assert_eq!(fifo.requests, 3);
-        // The makespan is order-insensitive (same total work)...
-        assert!((fifo.total_us - sjf.total_us).abs() / fifo.total_us < 0.02);
-        // ...but mean completion strongly favors running the LeNets first.
-        assert!(
-            sjf.mean_completion_us() < fifo.mean_completion_us() * 0.6,
-            "sjf {} vs fifo {}",
-            sjf.mean_completion_us(),
-            fifo.mean_completion_us()
-        );
     }
 
     #[test]
