@@ -18,6 +18,7 @@
 # 11. flight recorder  (profile two models, validate Perfetto output,
 #                       recorder-overhead gate at <=5%)
 # 12. perfbench        (build the wall-clock benchmark, run its unit tests)
+# 13. examples         (build every examples/*.rs in release, run each once)
 set -eu
 
 echo "==> cargo fmt --check"
@@ -203,5 +204,18 @@ echo "==> perfbench: build the wall-clock benchmark and run its unit tests"
 # crates/*), so `cargo test --workspace` never compiles it; an API change
 # in the crates would otherwise break the benchmark unnoticed.
 cargo test --release --manifest-path perfbench/Cargo.toml -q
+
+echo "==> examples: build and run each once"
+# `cargo test` only compiles the examples; running them catches a panic
+# or an error exit (serving_pipeline, for one, writes a checked trace).
+cargo build --release --examples
+for example in examples/*.rs; do
+    name=$(basename "$example" .rs)
+    if ! ./target/release/examples/"$name" > /dev/null; then
+        echo "example $name FAILED"
+        exit 1
+    fi
+done
+echo "    every example ran and exited 0"
 
 echo "CI OK"

@@ -149,7 +149,7 @@ const COMMANDS: &[Command] = &[
         &[TARGET, MODEL, &["json", "layers"], OBS, &["faults"], RETRY]),
     command("explain", crate::cmd_explain, &[TARGET, MODEL, &["json"]]),
     command("plan", crate::cmd_plan, &[TARGET, MODEL, &["explain"]]),
-    command("compare", crate::cmd_compare, &[TARGET, MODEL, OBS]),
+    command("compare", crate::cmd_compare, &[&["platform"], MODEL, OBS]),
     command("check", crate::cmd_check, &[TARGET, MODEL, &["json", "lenient"]]),
     Command { required: &["model"], ..command("compile", crate::cmd_compile,
         &[&["model"], TARGET, &["scale", "precision", "prepack", "no-prepack", "json", "dump", "out"]]) },

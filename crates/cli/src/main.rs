@@ -12,8 +12,9 @@ use edgenn_core::prelude::*;
 use edgenn_core::runtime::Runtime;
 use edgenn_nn::graph::{compile, CompileOptions, CompileReport, Graph};
 use edgenn_nn::models::{build, ModelScale};
+use edgenn_obs::chrome::{self, TraceEntry};
 use edgenn_obs::{EventSink, Labels, ProfileSummary, Recorder, SinkEvent};
-use edgenn_sim::trace::to_chrome_trace_with_counters;
+use edgenn_sim::trace::timeline_entries;
 use edgenn_sim::Platform;
 use serde_json::Value;
 
@@ -162,10 +163,11 @@ struct ObsOutputs<'o> {
 }
 
 impl<'o> ObsOutputs<'o> {
-    fn from_args(args: &'o Args, graph_name: &str, platform: &Platform) -> Result<Self> {
+    /// `policy` labels the metrics snapshot: the configuration that ran,
+    /// or `all` when a command runs every preset.
+    fn from_args(args: &'o Args, graph_name: &str, platform: &Platform, policy: &str) -> Self {
         let trace_out = args.value("trace-out");
         let metrics_out = args.value("metrics-out");
-        let policy = args.require("config")?;
         let recorder = (trace_out.is_some() || metrics_out.is_some()).then(|| {
             Recorder::with_labels(
                 Labels::new()
@@ -174,11 +176,11 @@ impl<'o> ObsOutputs<'o> {
                     .with("policy", policy),
             )
         });
-        Ok(Self {
+        Self {
             trace_out,
             metrics_out,
             recorder,
-        })
+        }
     }
 
     fn runtime<'a>(&self, platform: &'a Platform) -> Runtime<'a> {
@@ -197,8 +199,7 @@ impl<'o> ObsOutputs<'o> {
             .as_ref()
             .map(edgenn_obs::Recorder::counter_samples)
             .unwrap_or_default();
-        std::fs::write(path, to_chrome_trace_with_counters(events, &extra))
-            .map_err(|e| format!("writing {path}: {e}"))?;
+        chrome::write(path, &timeline_entries(events, &extra))?;
         eprintln!("chrome trace written to {path} (load in Perfetto or chrome://tracing)");
         Ok(())
     }
@@ -330,7 +331,7 @@ fn cmd_simulate(args: &Args) -> Result<()> {
     let platform = parse_platform(args.require("platform")?)?;
     let config = args::resolve_config(args)?;
 
-    let obs = ObsOutputs::from_args(args, graph.name(), &platform)?;
+    let obs = ObsOutputs::from_args(args, graph.name(), &platform, args.require("config")?);
     if let (Some(rec), Some(report)) = (&obs.recorder, &compile_report) {
         emit_compiler_events(rec, report);
     }
@@ -569,7 +570,7 @@ fn cmd_plan(args: &Args) -> Result<()> {
 fn cmd_compare(args: &Args) -> Result<()> {
     let (graph, _) = load_model(args)?;
     let platform = parse_platform(args.require("platform")?)?;
-    let obs = ObsOutputs::from_args(args, graph.name(), &platform)?;
+    let obs = ObsOutputs::from_args(args, graph.name(), &platform, "all");
     let runtime = obs.runtime(&platform);
     let tuner = Tuner::new(&graph, &runtime)?;
 
@@ -1184,7 +1185,28 @@ fn cmd_profile(args: &Args) -> Result<()> {
     };
 
     if let Some(path) = args.value("perfetto") {
-        write_profile_trace(path, &predicted.events, &slice, root.start_ns, &graph)?;
+        // One trace holding the simulated timeline (pid 1, its counter
+        // tracks on pid 1/2) next to the measured flight recording (pid
+        // 3, one thread row per worker).
+        let mut entries = timeline_entries(&predicted.events, &[]);
+        entries.push(TraceEntry::process_name(1, "simulated (analytic model)"));
+        entries.push(TraceEntry::process_name(3, "measured (flight recorder)"));
+        let name_of = |n: u32| {
+            graph.nodes().get(n as usize).map_or_else(
+                || format!("n{n}"),
+                |node| format!("n{n} {}", node.layer().name()),
+            )
+        };
+        entries.extend(flight::trace_entries(&slice, 3, root.start_ns, &name_of));
+        let written = chrome::write(path, &entries)?;
+        let measured_spans = chrome::span_count(&written, 3);
+        if measured_spans == 0 {
+            return Err(format!("{path}: no measured spans made it into the trace").into());
+        }
+        eprintln!(
+            "merged trace written to {path} ({} entries, {measured_spans} measured spans; load in Perfetto)",
+            written.len()
+        );
     }
 
     if args.has("json") {
@@ -1262,62 +1284,6 @@ fn cmd_profile(args: &Args) -> Result<()> {
         );
     }
     Ok(())
-}
-
-/// Writes one Chrome trace holding the simulated timeline (pid 1, with
-/// its counter tracks on pid 1/2) next to the measured flight recording
-/// (pid 3, one thread row per worker), then parses the written file back
-/// to guarantee downstream tooling can load it.
-fn write_profile_trace(
-    path: &str,
-    predicted_events: &[edgenn_sim::TraceEvent],
-    slice: &[edgenn_obs::SpanRecord],
-    t0_ns: u64,
-    graph: &Graph,
-) -> Result<()> {
-    use edgenn_obs::flight;
-
-    let mut entries = edgenn_sim::chrome_trace_entries(predicted_events, &[]);
-    entries.push(process_name_entry(1, "simulated (analytic model)"));
-    entries.push(process_name_entry(3, "measured (flight recorder)"));
-    let name_of = |n: u32| {
-        graph.nodes().get(n as usize).map_or_else(
-            || format!("n{n}"),
-            |node| format!("n{n} {}", node.layer().name()),
-        )
-    };
-    entries.extend(flight::chrome_entries(slice, 3, t0_ns, &name_of));
-    let json = serde_json::to_string_pretty(&Value::Array(entries))?;
-    std::fs::write(path, &json).map_err(|e| format!("writing {path}: {e}"))?;
-    let reread = std::fs::read_to_string(path).map_err(|e| format!("re-reading {path}: {e}"))?;
-    let parsed: Value =
-        serde_json::from_str(&reread).map_err(|e| format!("{path} is not valid JSON: {e}"))?;
-    let Value::Array(checked) = parsed else {
-        return Err(format!("{path}: a Chrome trace must be a JSON array").into());
-    };
-    let measured_spans = checked
-        .iter()
-        .filter(|e| e["pid"] == 3.0 && e["ph"] == "X")
-        .count();
-    if measured_spans == 0 {
-        return Err(format!("{path}: no measured spans made it into the trace").into());
-    }
-    eprintln!(
-        "merged trace written to {path} ({} entries, {} measured spans; load in Perfetto)",
-        checked.len(),
-        measured_spans
-    );
-    Ok(())
-}
-
-/// Chrome-trace metadata row labelling a process track.
-fn process_name_entry(pid: u64, name: &str) -> Value {
-    object([
-        ("name", "process_name".into()),
-        ("ph", "M".into()),
-        ("pid", pid.into()),
-        ("args", object([("name", name.into())])),
-    ])
 }
 
 fn cmd_storm(args: &Args) -> Result<()> {

@@ -126,7 +126,16 @@ fn compare_reports_all_configs() {
 
 #[test]
 fn cpu_only_platform_skips_gpu_configs() {
-    let out = edgenn(&["compare", "--model", "lenet", "--platform", "rpi"]);
+    let path = std::env::temp_dir().join("edgenn_cli_test_compare_metrics.json");
+    let out = edgenn(&[
+        "compare",
+        "--model",
+        "lenet",
+        "--platform",
+        "rpi",
+        "--metrics-out",
+        path.to_str().unwrap(),
+    ]);
     assert!(out.status.success());
     let text = String::from_utf8(out.stdout).unwrap();
     assert!(text.contains("cpu-only"));
@@ -134,6 +143,13 @@ fn cpu_only_platform_skips_gpu_configs() {
         !text.contains("edgenn (energy-aware)"),
         "no GPU configs on the RPi"
     );
+    // compare runs every preset, so its metrics carry no single policy.
+    let metrics: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    let counters = metrics["counters"].as_array().unwrap();
+    assert!(!counters.is_empty());
+    assert!(counters.iter().all(|m| m["labels"]["policy"] == "all"));
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
@@ -301,6 +317,8 @@ fn every_command_rejects_unknown_flags_missing_values_and_stray_arguments() {
         args.extend_from_slice(stray);
         fails(&args, "unexpected argument 'x'");
     }
+    // compare runs every preset, so it takes no --config to pick one.
+    fails(&["compare", "--config", "bogus"], "unknown flag '--config'");
 }
 
 #[test]

@@ -493,61 +493,6 @@ impl<'a> Runtime<'a> {
         })
     }
 
-    /// Simulates an open-loop request stream with Poisson arrivals at
-    /// `rate_per_s`, the standard serving model: requests queue when the
-    /// device is busy, and per-request latency is completion minus
-    /// arrival. Deterministic per `seed`.
-    ///
-    /// # Errors
-    /// Fails on plan/graph mismatches, a zero rate, or zero requests.
-    pub fn simulate_poisson_stream(
-        &self,
-        graph: &Graph,
-        plan: &ExecutionPlan,
-        rate_per_s: f64,
-        requests: usize,
-        seed: u64,
-    ) -> Result<OpenLoopReport> {
-        plan.validate(graph)?;
-        if requests == 0 || rate_per_s <= 0.0 {
-            return Err(CoreError::Internal {
-                reason: format!("invalid open-loop stream: rate {rate_per_s}, {requests} requests"),
-            });
-        }
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mean_gap_us = 1e6 / rate_per_s;
-        let mut timeline = self.new_timeline();
-        let mut arrival = 0.0f64;
-        let mut latencies = Vec::with_capacity(requests);
-        for request in 0..requests {
-            // Exponential inter-arrival via inverse transform sampling.
-            let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-            arrival += -mean_gap_us * u.ln();
-            let layers =
-                self.run_request_at(graph, plan, &mut timeline, request as u64, arrival)?;
-            let finished = layers.iter().map(|l| l.end_us).fold(arrival, f64::max);
-            self.emit(SinkEvent::Request {
-                latency_us: finished - arrival,
-            });
-            latencies.push(finished - arrival);
-        }
-        let total_us = timeline.makespan_us();
-        let energy = self.platform.power.energy(&timeline);
-        let mut sorted = latencies.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-        let pct = |q: f64| sorted[(((sorted.len() - 1) as f64) * q).round() as usize];
-        Ok(OpenLoopReport {
-            requests,
-            offered_rate_per_s: rate_per_s,
-            total_us,
-            latencies_us: latencies,
-            p50_us: pct(0.50),
-            p95_us: pct(0.95),
-            p99_us: pct(0.99),
-            energy,
-        })
-    }
-
     /// Runs one request's DAG against a (possibly shared) timeline.
     fn run_request(
         &self,
@@ -556,26 +501,13 @@ impl<'a> Runtime<'a> {
         timeline: &mut Timeline,
         request: u64,
     ) -> Result<Vec<LayerTiming>> {
-        self.run_request_at(graph, plan, timeline, request, 0.0)
-    }
-
-    /// Like [`Runtime::run_request`] but with an explicit arrival time:
-    /// no node of this request may start before `arrival_us`.
-    fn run_request_at(
-        &self,
-        graph: &Graph,
-        plan: &ExecutionPlan,
-        timeline: &mut Timeline,
-        request: u64,
-        arrival_us: f64,
-    ) -> Result<Vec<LayerTiming>> {
         let structure = graph.structure()?;
         let mut sim = Sim {
             runtime: self,
             graph,
             plan,
             timeline,
-            ready: vec![arrival_us; graph.len()],
+            ready: vec![0.0; graph.len()],
             loc: vec![Loc::Host; graph.len()],
             layers: Vec::with_capacity(graph.len()),
             jitter: StdRng::seed_from_u64(plan.config.jitter_seed.wrapping_add(request)),
@@ -596,27 +528,6 @@ impl<'a> Runtime<'a> {
         sim.read_back_output(graph.output_id())?;
         Ok(sim.layers)
     }
-}
-
-/// Result of an open-loop (Poisson-arrival) stream simulation.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct OpenLoopReport {
-    /// Number of requests simulated.
-    pub requests: usize,
-    /// Offered load (requests per second).
-    pub offered_rate_per_s: f64,
-    /// Makespan of the run (us).
-    pub total_us: f64,
-    /// Per-request latency (completion minus arrival, us), arrival order.
-    pub latencies_us: Vec<f64>,
-    /// Median latency (us).
-    pub p50_us: f64,
-    /// 95th-percentile latency (us).
-    pub p95_us: f64,
-    /// 99th-percentile latency (us).
-    pub p99_us: f64,
-    /// Energy over the run.
-    pub energy: edgenn_sim::EnergyReport,
 }
 
 /// Result of a multi-request stream simulation.
@@ -1545,44 +1456,6 @@ mod tests {
         assert!(stream.throughput_per_s >= 1e6 / single.total_us - 1e-6);
         assert!(stream.inter_completion_us() <= single.total_us + 1e-6);
         assert!(stream.energy.energy_mj > single.energy.energy_mj);
-    }
-
-    #[test]
-    fn poisson_stream_latency_grows_with_load() {
-        let platform = jetson_agx_xavier();
-        let runtime = Runtime::new(&platform);
-        let graph = build(ModelKind::SqueezeNet, ModelScale::Paper);
-        let plan = {
-            let tuner = crate::tuner::Tuner::new(&graph, &runtime).unwrap();
-            tuner
-                .plan(&graph, &runtime, ExecutionConfig::edgenn())
-                .unwrap()
-        };
-        let single = runtime.simulate(&graph, &plan).unwrap();
-        let capacity = 1e6 / single.total_us; // requests/s the device sustains
-
-        let light = runtime
-            .simulate_poisson_stream(&graph, &plan, capacity * 0.3, 40, 7)
-            .unwrap();
-        let heavy = runtime
-            .simulate_poisson_stream(&graph, &plan, capacity * 0.95, 40, 7)
-            .unwrap();
-        assert!(
-            light.p50_us >= single.total_us * 0.9,
-            "latency floor is one inference"
-        );
-        assert!(
-            heavy.p95_us > light.p95_us,
-            "queueing under load must raise tail latency: {} vs {}",
-            heavy.p95_us,
-            light.p95_us
-        );
-        assert!(light.p50_us <= light.p95_us && light.p95_us <= light.p99_us);
-        // Determinism per seed.
-        let again = runtime
-            .simulate_poisson_stream(&graph, &plan, capacity * 0.3, 40, 7)
-            .unwrap();
-        assert_eq!(again.p99_us, light.p99_us);
     }
 
     #[test]

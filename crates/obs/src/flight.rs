@@ -33,8 +33,8 @@
 //! On top of the raw rings sit the drain/merge layer
 //! ([`mark`]/[`drain_since`]/[`causal_slice`]), the per-request
 //! [`ProfileSummary`] and per-node attribution ([`node_profiles`]), the
-//! fault black box ([`blackbox_dump`]), and Chrome/Perfetto trace export
-//! ([`chrome_entries`]).
+//! fault black box ([`blackbox_dump`]), and the mapping of records onto
+//! Chrome/Perfetto trace entries ([`trace_entries`]).
 //!
 //! The recorder is process-global and disabled by default; when
 //! disabled, an instrumentation site costs one relaxed atomic load.
@@ -45,6 +45,8 @@ use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 use serde_json::{Map, Value};
+
+use crate::chrome::TraceEntry;
 
 /// Number of independent ring buffers. Threads hash onto rings by a
 /// monotonically assigned ordinal, so up to this many threads record
@@ -1091,55 +1093,41 @@ pub fn node_profiles(records: &[SpanRecord]) -> Vec<NodeProfile> {
     by_node.into_values().collect()
 }
 
-/// Renders records as Chrome-trace entries (`"ph":"X"` for spans,
-/// `"ph":"i"` for instants) on process id `pid`, one thread row per
-/// worker ordinal. `name_of` maps node ids to display names (the CLI
-/// passes layer names; pass `|n| format!("n{n}")` when unknown).
-/// Timestamps are shifted so `t0_ns` becomes 0 and converted to
-/// microseconds, matching the simulator's trace clock.
-pub fn chrome_entries(
+/// Maps records onto Chrome-trace entries: spans, and instants for the
+/// instant kinds, on process id `pid` with one thread row per worker
+/// ordinal. `name_of` maps node ids to display names (the CLI passes
+/// layer names; pass `|n| format!("n{n}")` when unknown). Timestamps
+/// are shifted so `t0_ns` becomes 0 and converted to microseconds,
+/// matching the simulator's trace clock.
+pub fn trace_entries(
     records: &[SpanRecord],
     pid: u64,
     t0_ns: u64,
     name_of: &dyn Fn(u32) -> String,
-) -> Vec<Value> {
-    let mut out = Vec::with_capacity(records.len());
-    for rec in records {
-        let mut entry = Map::new();
-        let label = if rec.node == NO_NODE {
-            rec.kind.name().to_string()
-        } else {
-            format!("{} {}", rec.kind.name(), name_of(rec.node))
-        };
-        entry.insert("name".to_string(), Value::String(label));
-        entry.insert(
-            "cat".to_string(),
-            Value::String(rec.kind.name().to_string()),
-        );
-        entry.insert("pid".to_string(), Value::Number(pid as f64));
-        entry.insert("tid".to_string(), Value::Number(f64::from(rec.worker)));
-        let ts = rec.start_ns.saturating_sub(t0_ns) as f64 / 1e3;
-        entry.insert("ts".to_string(), Value::Number(ts));
-        if rec.kind.is_instant() {
-            entry.insert("ph".to_string(), Value::String("i".to_string()));
-            entry.insert("s".to_string(), Value::String("t".to_string()));
-        } else {
-            entry.insert("ph".to_string(), Value::String("X".to_string()));
-            entry.insert(
-                "dur".to_string(),
-                Value::Number(rec.duration_us().max(0.001)),
-            );
-        }
-        let mut args = Map::new();
-        args.insert("id".to_string(), Value::Number(rec.id as f64));
-        args.insert("parent".to_string(), Value::Number(rec.parent as f64));
-        if rec.arg != 0 {
-            args.insert("arg".to_string(), Value::Number(rec.arg as f64));
-        }
-        entry.insert("args".to_string(), Value::Object(args));
-        out.push(Value::Object(entry));
-    }
-    out
+) -> Vec<TraceEntry> {
+    records
+        .iter()
+        .map(|rec| {
+            let name = if rec.node == NO_NODE {
+                rec.kind.name().to_string()
+            } else {
+                format!("{} {}", rec.kind.name(), name_of(rec.node))
+            };
+            let (cat, tid) = (rec.kind.name(), u64::from(rec.worker));
+            let ts = rec.start_ns.saturating_sub(t0_ns) as f64 / 1e3;
+            let entry = if rec.kind.is_instant() {
+                TraceEntry::instant(name, cat, pid, tid, ts)
+            } else {
+                TraceEntry::span(name, cat, pid, tid, ts, rec.duration_us().max(0.001))
+            };
+            let entry = entry.arg("id", rec.id).arg("parent", rec.parent);
+            if rec.arg == 0 {
+                entry
+            } else {
+                entry.arg("arg", rec.arg)
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -1466,7 +1454,7 @@ mod tests {
     }
 
     #[test]
-    fn chrome_entries_render_spans_and_instants() {
+    fn trace_entries_render_spans_and_instants() {
         let records = vec![
             SpanRecord {
                 id: 1,
@@ -1489,7 +1477,10 @@ mod tests {
                 arg: 64,
             },
         ];
-        let entries = chrome_entries(&records, 3, 5_000, &|n| format!("layer{n}"));
+        let entries: Vec<Value> = trace_entries(&records, 3, 5_000, &|n| format!("layer{n}"))
+            .iter()
+            .map(serde::Serialize::to_value)
+            .collect();
         assert_eq!(entries.len(), 2);
         assert_eq!(entries[0]["ph"], "X");
         assert_eq!(entries[0]["name"], "node layer4");

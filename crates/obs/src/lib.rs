@@ -5,7 +5,7 @@
 //! ran, where, for how long, moving how many bytes — and why did the
 //! tuner decide that?*
 //!
-//! Three pieces:
+//! Five pieces:
 //!
 //! 1. [`MetricsRegistry`] — counters, gauges, and log-bucketed
 //!    histograms (p50/p95/p99), labeled by model/platform/policy, with
@@ -17,12 +17,15 @@
 //!    latencies, and accounting warnings.
 //! 3. [`Recorder`] — the standard sink: cheaply clonable, thread-safe,
 //!    feeds every event into its registry and keeps the raw stream for
-//!    trace export (counter samples become Chrome-trace `"ph":"C"`
-//!    tracks).
+//!    trace export (counter samples become Chrome-trace counter tracks).
 //! 4. [`flight`] — the flight recorder: lock-free per-worker rings of
 //!    fixed-size span records written from the functional engine's hot
 //!    paths, with drain/merge into per-request profiles, fault black
-//!    boxes, and Perfetto export (see `docs/profiling.md`).
+//!    boxes, and trace entries for Perfetto (see `docs/profiling.md`).
+//! 5. [`chrome`] — the one Chrome/Perfetto trace exporter: typed
+//!    trace-event entries (spans, instants, counters, process names),
+//!    their serialization, and the checked file writer every trace the
+//!    workspace writes goes through.
 //!
 //! Zero external dependencies: std plus the workspace's vendored
 //! `serde`/`serde_json` only, so offline builds keep working.
@@ -41,6 +44,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod chrome;
 pub mod flight;
 mod metrics;
 mod sink;

@@ -36,7 +36,7 @@ pub enum SinkEvent {
     },
     /// One sample of a numeric counter track (EMA value, bandwidth,
     /// outstanding pages). Consecutive samples of one `track` form a
-    /// Chrome-trace `"ph":"C"` counter series.
+    /// Chrome-trace counter series.
     Counter {
         /// Counter track name ("ema_cpu_us/conv1", "bus_gbps", ...).
         track: String,
@@ -267,7 +267,7 @@ impl Recorder {
         self.lock().dropped
     }
 
-    /// All counter samples, in emission order (for `"ph":"C"` export).
+    /// All counter samples, in emission order (for counter-track export).
     pub fn counter_samples(&self) -> Vec<CounterSample> {
         self.lock()
             .events

@@ -52,6 +52,5 @@ pub use platforms::Platform;
 pub use power::{EnergyReport, PowerModel};
 pub use processor::{KernelDesc, OpClass, ProcessorKind, ProcessorSpec};
 pub use trace::{
-    check_trace, chrome_trace_entries, HappensBefore, LinkCaps, TraceEvent, TraceKind,
-    TraceViolation, TraceViolationKind,
+    check_trace, HappensBefore, LinkCaps, TraceEvent, TraceKind, TraceViolation, TraceViolationKind,
 };

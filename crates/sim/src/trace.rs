@@ -2,6 +2,7 @@
 //! platform did, used by tests, reports, and the adaptive tuner's
 //! feedback loop.
 
+use edgenn_obs::chrome::TraceEntry;
 use edgenn_obs::CounterSample;
 use serde::{Deserialize, Serialize};
 
@@ -148,44 +149,6 @@ pub fn interval_union_us(spans: &[(f64, f64)]) -> f64 {
         total += ce - cs;
     }
     total
-}
-
-/// Validates structural invariants of a trace: every event has
-/// non-negative duration, and no two *kernels* assigned to the same
-/// processor overlap in time (a core cannot run two kernels at once).
-/// Memory-traffic events occupy the interconnect, not a core — their
-/// `processor` field is attribution for accounting — so they may overlap
-/// each other and the kernels freely (DMA engines run alongside compute).
-///
-/// # Errors
-/// Returns a description of the first violation found.
-pub fn validate_events(events: &[TraceEvent]) -> Result<(), String> {
-    for event in events {
-        if event.end_us < event.start_us {
-            return Err(format!(
-                "event '{}' has negative duration ({} -> {})",
-                event.label, event.start_us, event.end_us
-            ));
-        }
-    }
-    for proc in [ProcessorKind::Cpu, ProcessorKind::Gpu] {
-        let mut spans: Vec<(f64, f64, &str)> = events
-            .iter()
-            .filter(|e| e.kind == TraceKind::Kernel && e.processor == Some(proc))
-            .map(|e| (e.start_us, e.end_us, e.label.as_str()))
-            .collect();
-        spans.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite times"));
-        for pair in spans.windows(2) {
-            let (a, b) = (pair[0], pair[1]);
-            if b.0 < a.1 - 1e-9 {
-                return Err(format!(
-                    "{proc} events overlap: '{}' [{}, {}] and '{}' [{}, {}]",
-                    a.2, a.0, a.1, b.2, b.0, b.1
-                ));
-            }
-        }
-    }
-    Ok(())
 }
 
 // --- Happens-before race detection -----------------------------------
@@ -522,46 +485,6 @@ pub fn check_trace(events: &[TraceEvent], caps: Option<&LinkCaps>) -> Vec<TraceV
 /// Assumed managed-memory page size for the outstanding-pages counter.
 const PAGE_BYTES: f64 = 4096.0;
 
-fn span_entry(event: &TraceEvent) -> serde_json::Value {
-    let track = match event.processor {
-        Some(ProcessorKind::Cpu) => "CPU",
-        Some(ProcessorKind::Gpu) => "GPU",
-        None => "Bus",
-    };
-    let tid = match event.processor {
-        Some(ProcessorKind::Cpu) => 1u64,
-        Some(ProcessorKind::Gpu) => 2,
-        None => 3,
-    };
-    let mut args = serde_json::Map::new();
-    args.insert("track", serde_json::Value::from(track));
-    if event.bytes > 0 {
-        args.insert("bytes", serde_json::Value::from(event.bytes as f64));
-    }
-    let mut m = serde_json::Map::new();
-    m.insert("name", serde_json::Value::from(event.label.as_str()));
-    m.insert("cat", serde_json::Value::from(event.kind.to_string()));
-    m.insert("ph", serde_json::Value::from("X"));
-    m.insert("ts", serde_json::Value::from(event.start_us));
-    m.insert("dur", serde_json::Value::from(event.duration_us()));
-    m.insert("pid", serde_json::Value::from(1.0));
-    m.insert("tid", serde_json::Value::from(tid as f64));
-    m.insert("args", serde_json::Value::Object(args));
-    serde_json::Value::Object(m)
-}
-
-fn counter_entry(track: &str, ts: f64, value: f64, pid: u64) -> serde_json::Value {
-    let mut args = serde_json::Map::new();
-    args.insert("value", serde_json::Value::from(value));
-    let mut m = serde_json::Map::new();
-    m.insert("name", serde_json::Value::from(track));
-    m.insert("ph", serde_json::Value::from("C"));
-    m.insert("ts", serde_json::Value::from(ts));
-    m.insert("pid", serde_json::Value::from(pid as f64));
-    m.insert("args", serde_json::Value::Object(args));
-    serde_json::Value::Object(m)
-}
-
 /// Instantaneous interconnect bandwidth (GB/s) as a step function:
 /// change-point sweep over every byte-moving event. Returns `(t_us,
 /// gbps)` samples, one per distinct change point.
@@ -625,52 +548,44 @@ fn managed_page_samples(events: &[TraceEvent]) -> Vec<(f64, f64)> {
     samples
 }
 
-/// Serializes events into the Chrome trace-event format (the JSON array
-/// flavor), loadable in `chrome://tracing` or Perfetto. Kernels appear on
-/// a "CPU" or "GPU" track, bus activity (copies, migrations, thrash,
-/// syncs) on a "Bus" track. Byte-moving events additionally feed two
-/// `"ph":"C"` counter tracks: instantaneous interconnect bandwidth and
-/// outstanding managed pages.
-pub fn to_chrome_trace(events: &[TraceEvent]) -> String {
-    to_chrome_trace_with_counters(events, &[])
-}
-
-/// Like [`to_chrome_trace`], with additional counter tracks appended
-/// from `extra` samples (e.g. the tuner's per-node EMA evolution,
-/// collected through an `edgenn_obs::Recorder`). Extra counters render
-/// on their own process row (`pid` 2) so they group separately from the
-/// simulated hardware.
-pub fn to_chrome_trace_with_counters(events: &[TraceEvent], extra: &[CounterSample]) -> String {
-    let entries = chrome_trace_entries(events, extra);
-    serde_json::to_string_pretty(&serde_json::Value::Array(entries))
-        .expect("trace events are serializable")
-}
-
-/// The raw Chrome trace-event entries for a simulated timeline, before
-/// serialization: spans on `pid` 1, extra counters on `pid` 2. Callers
-/// that want one trace file holding the simulated timeline *next to*
-/// something else (a measured flight recording, another simulation)
-/// append their own entries under a distinct `pid` and serialize the
-/// combined array themselves.
+/// The simulated timeline as Chrome trace entries (see
+/// [`edgenn_obs::chrome`]), loadable in `chrome://tracing` or Perfetto.
+/// Everything the simulated hardware did sits on `pid` 1: kernels on a
+/// "CPU" (`tid` 1) or "GPU" (`tid` 2) row, bus activity (copies,
+/// migrations, thrash, syncs) on a "Bus" row (`tid` 3), and two counter
+/// tracks fed by byte-moving events: instantaneous interconnect
+/// bandwidth and outstanding managed pages. `extra` samples (e.g. the
+/// tuner's per-node EMA evolution, collected through an
+/// `edgenn_obs::Recorder`) become counters on `pid` 2, so they group
+/// apart from the hardware. Callers that want one file holding this
+/// timeline next to another append their entries under a distinct `pid`.
 #[must_use]
-pub fn chrome_trace_entries(
-    events: &[TraceEvent],
-    extra: &[CounterSample],
-) -> Vec<serde_json::Value> {
-    let mut entries = Vec::with_capacity(events.len());
-    for event in events {
-        entries.push(span_entry(event));
-    }
-    for (ts, gbps) in bandwidth_samples(events) {
-        entries.push(counter_entry("bandwidth_gbps", ts, gbps, 1));
-    }
-    for (ts, pages) in managed_page_samples(events) {
-        entries.push(counter_entry("managed_pages_outstanding", ts, pages, 1));
-    }
-    for sample in extra {
-        entries.push(counter_entry(&sample.track, sample.t_us, sample.value, 2));
-    }
-    entries
+pub fn timeline_entries(events: &[TraceEvent], extra: &[CounterSample]) -> Vec<TraceEntry> {
+    let spans = events.iter().map(|event| {
+        let (track, tid) = match event.processor {
+            Some(ProcessorKind::Cpu) => ("CPU", 1),
+            Some(ProcessorKind::Gpu) => ("GPU", 2),
+            None => ("Bus", 3),
+        };
+        let (name, cat) = (event.label.as_str(), event.kind.to_string());
+        let span = TraceEntry::span(name, cat, 1, tid, event.start_us, event.duration_us())
+            .arg("track", track);
+        if event.bytes > 0 {
+            span.arg("bytes", event.bytes)
+        } else {
+            span
+        }
+    });
+    let bandwidth = bandwidth_samples(events)
+        .into_iter()
+        .map(|(ts, gbps)| TraceEntry::counter("bandwidth_gbps", 1, ts, gbps));
+    let pages = managed_page_samples(events)
+        .into_iter()
+        .map(|(ts, pages)| TraceEntry::counter("managed_pages_outstanding", 1, ts, pages));
+    let extra = extra
+        .iter()
+        .map(|sample| TraceEntry::counter(sample.track.as_str(), 2, sample.t_us, sample.value));
+    spans.chain(bandwidth).chain(pages).chain(extra).collect()
 }
 
 #[cfg(test)]
@@ -787,46 +702,11 @@ mod tests {
         assert_eq!(back.duration_us(), 1.0);
     }
 
-    #[test]
-    fn validation_accepts_serial_and_rejects_overlap() {
-        let ok = vec![
-            TraceEvent {
-                kind: TraceKind::Kernel,
-                processor: Some(ProcessorKind::Gpu),
-                start_us: 0.0,
-                end_us: 5.0,
-                label: "a".into(),
-                bytes: 0,
-            },
-            TraceEvent {
-                kind: TraceKind::Kernel,
-                processor: Some(ProcessorKind::Gpu),
-                start_us: 5.0,
-                end_us: 9.0,
-                label: "b".into(),
-                bytes: 0,
-            },
-            TraceEvent {
-                kind: TraceKind::Kernel,
-                processor: Some(ProcessorKind::Cpu),
-                start_us: 1.0,
-                end_us: 8.0,
-                label: "c".into(),
-                bytes: 0,
-            },
-        ];
-        assert!(
-            validate_events(&ok).is_ok(),
-            "cross-processor overlap is fine"
-        );
-
-        let mut bad = ok.clone();
-        bad[1].start_us = 4.0; // overlaps event 'a' on the GPU
-        assert!(validate_events(&bad).is_err());
-
-        let mut negative = ok;
-        negative[0].end_us = -1.0;
-        assert!(validate_events(&negative).is_err());
+    /// The timeline's entries as a written trace file holds them.
+    fn rendered(events: &[TraceEvent], extra: &[CounterSample]) -> Vec<serde_json::Value> {
+        let json = edgenn_obs::chrome::to_json(&timeline_entries(events, extra));
+        let parsed: serde_json::Value = serde_json::from_str(&json).unwrap();
+        parsed.as_array().unwrap().clone()
     }
 
     #[test]
@@ -849,9 +729,7 @@ mod tests {
                 bytes: 0,
             },
         ];
-        let json = to_chrome_trace(&events);
-        let parsed: serde_json::Value = serde_json::from_str(&json).unwrap();
-        let arr = parsed.as_array().unwrap();
+        let arr = rendered(&events, &[]);
         assert_eq!(arr.len(), 2);
         assert_eq!(arr[0]["name"], "conv1");
         assert_eq!(arr[0]["tid"], 2);
@@ -879,9 +757,7 @@ mod tests {
                 bytes: 8192, // 2 pages
             },
         ];
-        let json = to_chrome_trace(&events);
-        let parsed: serde_json::Value = serde_json::from_str(&json).unwrap();
-        let arr = parsed.as_array().unwrap();
+        let arr = rendered(&events, &[]);
         let counters: Vec<&serde_json::Value> = arr.iter().filter(|e| e["ph"] == "C").collect();
         assert!(!counters.is_empty());
         let bw_on: Vec<&&serde_json::Value> = counters
@@ -912,9 +788,7 @@ mod tests {
                 value: 110.0,
             },
         ];
-        let json = to_chrome_trace_with_counters(&[], &extra);
-        let parsed: serde_json::Value = serde_json::from_str(&json).unwrap();
-        let arr = parsed.as_array().unwrap();
+        let arr = rendered(&[], &extra);
         assert_eq!(arr.len(), 2);
         assert_eq!(arr[0]["ph"], "C");
         assert_eq!(arr[0]["name"], "ema_cpu_us/conv1");
@@ -995,6 +869,15 @@ mod tests {
         ];
         assert!(check_trace(&clean, None).is_empty());
 
+        // Back-to-back kernels on one processor are serial, and kernels
+        // on different processors may overlap.
+        let serial = vec![
+            kernel("a", ProcessorKind::Gpu, 0.0, 5.0),
+            kernel("b", ProcessorKind::Gpu, 5.0, 9.0),
+            kernel("c", ProcessorKind::Cpu, 1.0, 8.0),
+        ];
+        assert!(check_trace(&serial, None).is_empty());
+
         // Two kernels on one processor overlapping is the race.
         let racy = vec![
             kernel("conv1", ProcessorKind::Gpu, 0.0, 10.0),
@@ -1070,6 +953,11 @@ mod tests {
             kernel("good", ProcessorKind::Gpu, 0.0, 5.0),
         ];
         let v = check_trace(&events, None);
+        assert_eq!(v.len(), 1);
+        assert_eq!(v[0].kind, TraceViolationKind::MalformedEvent);
+
+        let negative = vec![kernel("backwards", ProcessorKind::Cpu, 5.0, -1.0)];
+        let v = check_trace(&negative, None);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].kind, TraceViolationKind::MalformedEvent);
     }

@@ -4,7 +4,8 @@
 //! The paper evaluates single inferences; a deployed AIoT service runs a
 //! stream of them. This example simulates a back-to-back request stream
 //! under three plans (latency-tuned EdgeNN, energy-tuned EdgeNN, GPU-only
-//! baseline) and writes the EdgeNN schedule as a Chrome trace.
+//! baseline) and writes the EdgeNN schedule as a Chrome trace. Latency
+//! under open-loop (Poisson) load is what `edgenn siege` measures.
 //!
 //! ```bash
 //! cargo run --release --example serving_pipeline
@@ -12,8 +13,9 @@
 
 use edgenn_core::prelude::*;
 use edgenn_core::runtime::Runtime;
+use edgenn_obs::chrome;
 use edgenn_sim::platforms;
-use edgenn_sim::trace::to_chrome_trace;
+use edgenn_sim::trace::timeline_entries;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let jetson = platforms::jetson_agx_xavier();
@@ -52,34 +54,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // Open-loop serving: Poisson arrivals at rising load.
-    let plan = tuner.plan(&graph, &runtime, ExecutionConfig::edgenn())?;
-    let single = runtime.simulate(&graph, &plan)?;
-    let capacity = 1e6 / single.total_us;
-    println!(
-        "
-open-loop latency under Poisson arrivals (capacity ~{capacity:.1} req/s):"
-    );
-    println!(
-        "{:>12} {:>10} {:>10} {:>10}",
-        "load", "p50 ms", "p95 ms", "p99 ms"
-    );
-    for frac in [0.25, 0.5, 0.75, 0.9] {
-        let report = runtime.simulate_poisson_stream(&graph, &plan, capacity * frac, 64, 42)?;
-        println!(
-            "{:>11.0}% {:>10.2} {:>10.2} {:>10.2}",
-            frac * 100.0,
-            report.p50_us / 1e3,
-            report.p95_us / 1e3,
-            report.p99_us / 1e3
-        );
-    }
-
     // Dump the single-inference EdgeNN schedule for chrome://tracing.
     let plan = tuner.plan(&graph, &runtime, ExecutionConfig::edgenn())?;
     let report = runtime.simulate(&graph, &plan)?;
     let path = std::env::temp_dir().join("edgenn_squeezenet_trace.json");
-    std::fs::write(&path, to_chrome_trace(&report.events))?;
+    chrome::write(&path, &timeline_entries(&report.events, &[]))?;
     println!(
         "\nschedule trace ({} events) written to {} — load it in chrome://tracing",
         report.events.len(),

@@ -42,8 +42,11 @@ fn edgenn_improves_every_benchmark_at_paper_scale() {
             .infer(&graph)
             .unwrap();
         for report in [&baseline, &full, &memory_only] {
-            edgenn_sim::trace::validate_events(&report.events)
-                .unwrap_or_else(|e| panic!("{kind}: invalid trace: {e}"));
+            let violations = edgenn_sim::trace::check_trace(&report.events, None);
+            assert!(
+                violations.is_empty(),
+                "{kind}: invalid trace: {violations:?}"
+            );
         }
         assert!(full.total_us < baseline.total_us, "{kind}: EdgeNN must win");
         assert!(
@@ -218,7 +221,7 @@ fn observability_spans_the_stack() {
         .unwrap()
         .with_decisions(decisions);
 
-    edgenn_sim::trace::validate_events(&report.events).unwrap();
+    assert!(edgenn_sim::trace::check_trace(&report.events, None).is_empty());
 
     // Decision provenance is attached and serializes with the report.
     assert_eq!(report.decisions.len(), graph.len() - 1);
@@ -245,7 +248,10 @@ fn observability_spans_the_stack() {
     assert!(samples.iter().any(|s| s.track.starts_with("ema_")));
 
     // The exported trace carries both span and counter entries.
-    let trace = edgenn_sim::trace::to_chrome_trace_with_counters(&report.events, &samples);
+    let trace = edgenn_obs::chrome::to_json(&edgenn_sim::trace::timeline_entries(
+        &report.events,
+        &samples,
+    ));
     assert!(trace.contains("\"ph\": \"X\""));
     assert!(trace.contains("\"ph\": \"C\""));
     assert!(trace.contains("bandwidth_gbps"));
